@@ -137,10 +137,15 @@ def _cmd_sweep(args) -> int:
     if config.output:
         write_sweep_csv(rows, config.output)
         print(f"wrote {config.output}")
+    failed = 0
     for row in rows:
         print(f"{row['algo']} T={row['T']}: mean_regret={row['mean_regret']!r} "
               f"stderr={row['stderr']!r}")
-    return 0
+        if row["reps"] < config.replications:
+            failed += 1
+            print(f"{row['algo']} T={row['T']}: {row['reps']} of "
+                  f"{config.replications} replications survived")
+    return 2 if failed else 0
 
 
 _COMMANDS = {

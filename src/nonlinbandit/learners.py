@@ -191,9 +191,24 @@ class Exp2:
 
     Sampling mixes the weight distribution with a fixed design ``pi``:
     p = (1 - gamma_mix) q + gamma_mix pi.  Updates form the least-squares
-    estimate M(p)^+ x_S r of the lifted reward vector (pseudo-inverse on the
-    feature span) and add the estimated rewards of all actions, scaled by
-    ``eta``, to the log-weights.
+    estimate M(p)^+ x_S r of the lifted reward vector, with
+    M(p) = F' diag(p) F, and add the estimated rewards of all actions
+    F M(p)^+ x_S r, scaled by ``eta``, to the log-weights.
+
+    The estimate never forms M(p)^+.  With U (A x r) an orthonormal basis of
+    the column span of the feature table F, fixed at construction by a thin
+    SVD, and P = diag(p),
+
+        F (F'PF)^+ F' e_S = U (U'PU)^-1 U' e_S.
+
+    U'PU is positive definite with smallest eigenvalue at least min(p) > 0
+    (``gamma_mix`` > 0 keeps every p_a positive), so one r x r solve per
+    round replaces the N^d x N^d pseudo-inverse: O(A r^2) to form U'PU plus
+    the solve, with r = 8 at d=1, N=8 and r = 21 at d=2, N=7.
+    ``second_moment_pinv`` stays as the reference path the tests compare
+    against.  The features are still the N^d tensor columns; the smaller
+    table of sub-subset indicators 1[T subset of S], |T| <= d, which spans
+    the same space, is not used yet.
     """
 
     def __init__(self, n_arms: int, subset_size: int, order: int, horizon: int,
@@ -218,6 +233,8 @@ class Exp2:
         ])
         self.design = kw_optimal_design(self.features, eps=design_eps,
                                         max_iters=design_max_iters)
+        left, svals, _ = np.linalg.svd(self.features, full_matrices=False)
+        self.span_basis = left[:, :int(np.sum(svals > 1e-10 * svals[0]))]
         if gamma_mix is None:
             gamma_mix = min(0.5, math.sqrt(dim * math.log(max(count, 2)) / horizon))
         if eta is None:
@@ -247,9 +264,13 @@ class Exp2:
         return np.linalg.pinv(moment, rcond=1e-10, hermitian=True)
 
     def estimate_rewards(self, rank: int, reward: float, probs=None) -> np.ndarray:
-        """Per-action reward estimates from one observed (action, reward) pair."""
-        lifted_hat = self.second_moment_pinv(probs) @ self.features[rank] * reward
-        return self.features @ lifted_hat
+        """Per-action reward estimates F M(p)^+ x_S r from one observed
+        (action, reward) pair, by a solve on the feature span."""
+        if probs is None:
+            probs = self.sampling_distribution()
+        basis = self.span_basis
+        gram = basis.T @ (np.asarray(probs)[:, None] * basis)
+        return basis @ np.linalg.solve(gram, basis[rank]) * reward
 
     def select(self, rng) -> SubsetAction:
         rank = _sample_index(self.sampling_distribution(), rng)

@@ -327,6 +327,28 @@ def test_cli_run_and_sweep(tmp_path, mnl_hard_m2, capsys):
     assert len(lines) == 3
 
 
+def test_cli_sweep_exits_two_when_replications_fail(tmp_path, mnl_hard_m2, monkeypatch,
+                                                    capsys):
+    import nonlinbandit.harness as harness_mod
+
+    original = harness_mod._one_replication
+
+    def flaky(config, algo, horizon, rep):
+        if rep == 1 and horizon == 120:
+            raise RuntimeError("boom")
+        return original(config, algo, horizon, rep)
+
+    monkeypatch.setattr(harness_mod, "_one_replication", flaky)
+    config = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, reps=3,
+                              t_grid=[60, 120])
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config.to_dict()))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    out = capsys.readouterr().out
+    assert "exp3 T=120: 2 of 3 replications survived" in out
+    assert "T=60: " in out and "T=60: 3 of" not in out
+
+
 def test_cli_unknown_flag_exits_one(capsys):
     assert main(["find-hard", "--nonsense"]) == 1
     err = capsys.readouterr().err

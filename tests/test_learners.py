@@ -176,6 +176,36 @@ def test_exp2_single_arm_actions_are_diagonal(rng):
     assert np.allclose(est, expected, atol=1e-9)
 
 
+@pytest.mark.parametrize("n_arms,subset_size,order",
+                         [(4, 1, 1), (5, 2, 2), (7, 3, 2), (8, 3, 1), (6, 3, 3)])
+def test_exp2_span_solve_matches_pinv_reference(n_arms, subset_size, order):
+    # the per-round estimate U (U'PU)^-1 U' e_S r must equal the pseudo-inverse
+    # reference F M(p)^+ F' e_S r for every played rank
+    learner = Exp2(n_arms, subset_size, order, horizon=1000)
+    n_actions = learner.n_actions
+    rng = np.random.default_rng(n_arms * 100 + subset_size * 10 + order)
+    concentrated = np.zeros(n_actions)
+    concentrated[n_actions // 2] = 1.0
+    dists = [rng.dirichlet(np.ones(n_actions))]
+    dists += [(1 - gamma) * concentrated + gamma / n_actions for gamma in (1e-6, 0.02)]
+    basis = learner.span_basis
+    eps = np.finfo(float).eps
+    for p in dists:
+        assert p.min() >= 1e-8  # the reference pinv (rcond 1e-10) does not truncate
+        # eigvalsh is accurate to about eps * lambda_max in absolute terms
+        eigs = np.linalg.eigvalsh(basis.T @ (p[:, None] * basis))
+        assert eigs[0] >= p.min() * (1 - 1e-9) - 8 * eps * eigs[-1]
+        # U'PU has condition number at most 1 / min(p), so both paths carry
+        # roundoff up to about eps / min(p) relative to the largest estimate;
+        # above min(p) ~ 2e-5 the 1e-10 floor is the binding tolerance
+        rtol = 1e-10 + 8 * eps / p.min()
+        pinv = learner.second_moment_pinv(p)
+        for rank in range(n_actions):
+            reference = learner.features @ pinv @ learner.features[rank] * 0.7
+            fast = learner.estimate_rewards(rank, 0.7, p)
+            assert np.abs(fast - reference).max() <= rtol * np.abs(reference).max()
+
+
 def test_exp2_zero_rewards_stay_uniform(rng):
     learner = Exp2(3, 2, 1, horizon=50)
     for _ in range(20):
