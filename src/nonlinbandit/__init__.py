@@ -59,7 +59,9 @@ from .hardinstances import (
 from .harness import (
     ExperimentConfig,
     RunResult,
+    reference_replication,
     run_experiment,
+    run_replication,
     run_sweep,
     simulate,
     write_run_csv,
@@ -72,6 +74,7 @@ from .learners import (
     SubsetMab,
     kw_optimal_design,
     tsallis_distribution,
+    tsallis_rows,
 )
 
 __version__ = "0.1.0"

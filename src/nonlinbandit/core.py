@@ -122,8 +122,7 @@ class TabulatedLink(LinkFunction):
             raise ValueError("grid needs matching 1-D xs/ys with at least two points")
         if not np.all(np.diff(xs) > 0):
             raise ValueError("grid abscissae must be strictly increasing")
-        if np.any(ys < -1e-12) or np.any(ys > 1 + 1e-12):
-            raise LinkRangeError("tabulated values must lie in [0, 1]")
+        check_unit_interval(ys, "tabulated values", error=LinkRangeError)
         self.xs = xs
         self.ys = np.clip(ys, 0.0, 1.0)
 
@@ -244,34 +243,64 @@ def all_subsets(n_arms: int, subset_size: int) -> tuple[np.ndarray, np.ndarray]:
     return combos, ranks
 
 
+@lru_cache(maxsize=32)
+def subsets_by_rank(n_arms: int, subset_size: int) -> np.ndarray:
+    """All size-K subsets as a read-only (A, K) index array whose row r is the
+    subset of colexicographic rank r."""
+    combos, ranks = all_subsets(n_arms, subset_size)
+    table = np.empty_like(combos)
+    table[ranks] = combos
+    table.setflags(write=False)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Rewards
 # ---------------------------------------------------------------------------
 
-def _check_values(values: np.ndarray):
-    if np.any(values < -1e-12) or np.any(values > 1 + 1e-12):
-        raise ValueError("reward-vector entries must lie in [0, 1]")
+def check_unit_interval(values, what: str, tol: float = 1e-12,
+                        error: type[ValueError] = ValueError):
+    """Raise ``error`` unless every entry of ``values`` lies in [-tol, 1 + tol].
+
+    The one [0, 1] range check of the package: reward vectors and feedback
+    means use the default 1e-12 slack, link outputs 1e-9 with
+    :class:`LinkRangeError`, and realized rewards and prices no slack.  NaN
+    fails the check.
+    """
+    if isinstance(values, float):
+        ok = -tol <= values <= 1.0 + tol
+    else:
+        arr = np.asarray(values, dtype=float)
+        if arr.size <= 32:  # a per-round batch: cheaper in Python than two reductions
+            ok = all(-tol <= v <= 1.0 + tol for v in arr.ravel().tolist())
+        else:
+            ok = float(arr.min()) >= -tol and float(arr.max()) <= 1.0 + tol
+    if not ok:
+        raise error(f"{what} outside [0, 1]")
 
 
-def _check_range(y):
-    if np.any(np.asarray(y) < -1e-9) or np.any(np.asarray(y) > 1 + 1e-9):
-        raise LinkRangeError("link produced a value outside [0, 1]")
+def subset_sums(values, combos: np.ndarray) -> np.ndarray:
+    """Sum of ``values[..., i]`` over each row of ``combos`` (A x K), added
+    left to right so every entry carries the same bits as the scalar loop of
+    :func:`expected_reward`."""
+    total = values[..., combos[:, 0]]
+    for j in range(1, combos.shape[1]):
+        total = total + values[..., combos[:, j]]
+    return total
 
 
 def expected_reward(subset: SubsetAction, values, link: LinkFunction) -> float:
     """Expected reward ``g(sum of the chosen arms' values)``, clamped to [0, 1]."""
     v = np.asarray(values, dtype=float)
-    if float(v.min()) < -1e-12 or float(v.max()) > 1 + 1e-12:
-        raise ValueError("reward-vector entries must lie in [0, 1]")
+    check_unit_interval(v, "reward-vector entries")
     if subset.indices[-1] >= v.size:
         raise ValueError("subset index outside the reward vector")
     total = 0.0
     for i in subset.indices:
         total += v[i]
-    y = link(float(total))
-    if y < -1e-9 or y > 1 + 1e-9:
-        raise LinkRangeError("link produced a value outside [0, 1]")
-    return min(1.0, max(0.0, float(y)))
+    y = float(link(float(total)))
+    check_unit_interval(y, "link value", tol=1e-9, error=LinkRangeError)
+    return min(1.0, max(0.0, y))
 
 
 def best_subset(values, link: LinkFunction, n_arms: int, subset_size: int,
@@ -285,13 +314,13 @@ def best_subset(values, link: LinkFunction, n_arms: int, subset_size: int,
     if count > cap:
         raise CapExceededError(f"C({n_arms},{subset_size})={count} exceeds cap {cap}")
     v = np.asarray(values, dtype=float)
-    _check_values(v)
+    check_unit_interval(v, "reward-vector entries")
     if v.size != n_arms:
         raise ValueError("reward vector length must equal n_arms")
     combos, ranks = all_subsets(n_arms, subset_size)
     sums = v[combos].sum(axis=1)
     ys = np.asarray(link(sums), dtype=float)
-    _check_range(ys)
+    check_unit_interval(ys, "link value", tol=1e-9, error=LinkRangeError)
     pick = np.lexsort((ranks, -ys))[0]
     action = SubsetAction(tuple(int(i) for i in combos[pick]), int(ranks[pick]))
     return action, min(1.0, max(0.0, float(ys[pick])))

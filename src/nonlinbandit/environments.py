@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import bernoulli_kl
-from .core import LinkFunction, SubsetAction
+from .core import LinkFunction, SubsetAction, check_unit_interval
 from .hardinstances import (
     DEFAULT_EQ_TOL,
     DEFAULT_GAP_TOL,
@@ -41,8 +41,7 @@ class EnvRecord:
     reward: float
 
     def __post_init__(self):
-        if not 0.0 <= self.reward <= 1.0:
-            raise ValueError("reward must lie in [0, 1]")
+        check_unit_interval(self.reward, "reward", tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +49,24 @@ class EnvRecord:
 # ---------------------------------------------------------------------------
 
 class Adversary:
-    """Reward-vector process.  ``history`` carries the full list of past
-    :class:`EnvRecord` so user-supplied adaptive adversaries can react to the
-    observable statistics; the adversaries shipped here ignore it."""
+    """Oblivious reward-vector process with a fixed per-round random layout.
+
+    Every round consumes exactly ``n_uniforms`` uniforms from the environment
+    stream, whatever happens in it, so the stream never depends on the
+    learner.  :meth:`reward_vector` draws one round from a generator (the
+    reference path); :meth:`reward_block` maps a block of already drawn
+    uniforms, shape (R, B, n_uniforms), to the hidden vectors of rounds
+    ``t0 .. t0 + B - 1``, shape (R, B, N), or (1, B, N) when they do not
+    depend on the draws.  Both give the same bits for the same uniforms.
+    """
 
     n_arms: int
+    n_uniforms = 0
 
-    def reward_vector(self, t: int, history, rng) -> np.ndarray:
+    def reward_vector(self, t: int, rng) -> np.ndarray:
+        raise NotImplementedError
+
+    def reward_block(self, t0: int, uniforms: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -65,13 +75,15 @@ class StochasticAdversary(Adversary):
 
     def __init__(self, values):
         v = np.asarray(values, dtype=float)
-        if np.any(v < 0) or np.any(v > 1):
-            raise ValueError("values must lie in [0, 1]")
+        check_unit_interval(v, "values", tol=0.0)
         self.values = v
         self.n_arms = v.size
 
-    def reward_vector(self, t, history, rng):
+    def reward_vector(self, t, rng):
         return self.values.copy()
+
+    def reward_block(self, t0, uniforms):
+        return np.broadcast_to(self.values, (1, uniforms.shape[-2], self.n_arms))
 
 
 class ObliviousAdversary(Adversary):
@@ -79,15 +91,23 @@ class ObliviousAdversary(Adversary):
 
     def __init__(self, schedule):
         sched = np.atleast_2d(np.asarray(schedule, dtype=float))
-        if np.any(sched < 0) or np.any(sched > 1):
-            raise ValueError("schedule values must lie in [0, 1]")
+        check_unit_interval(sched, "schedule values", tol=0.0)
         self.schedule = sched
         self.n_arms = sched.shape[1]
 
-    def reward_vector(self, t, history, rng):
-        if not 1 <= t <= self.schedule.shape[0]:
-            raise ValueError(f"round {t} outside schedule of length {self.schedule.shape[0]}")
+    def _check_rounds(self, first, last):
+        if not 1 <= first <= last <= self.schedule.shape[0]:
+            raise ValueError(f"rounds {first}..{last} outside schedule of length "
+                             f"{self.schedule.shape[0]}")
+
+    def reward_vector(self, t, rng):
+        self._check_rounds(t, t)
         return self.schedule[t - 1].copy()
+
+    def reward_block(self, t0, uniforms):
+        count = uniforms.shape[-2]
+        self._check_rounds(t0, t0 + count - 1)
+        return self.schedule[None, t0 - 1:t0 - 1 + count]
 
 
 class HardMixtureAdversary(Adversary):
@@ -97,6 +117,10 @@ class HardMixtureAdversary(Adversary):
     general construction, or smaller for the low-degree polynomial variant
     where any action covering the planted set is optimal.  Refuses instances
     that fail independent verification.
+
+    A round takes ``m + 2`` uniforms: the planted test (planted when below
+    ``delta``), the atom draw (inverse CDF over the weights), and m keys
+    whose argsort is the uniformly random permutation of the atom.
     """
 
     def __init__(self, instance: HardInstance, link: LinkFunction, planted,
@@ -125,14 +149,29 @@ class HardMixtureAdversary(Adversary):
         self._planted_arr = np.array(planted, dtype=np.int64)
         self._cum_weights = np.cumsum(instance.weights)
         self._cum_weights[-1] = 1.0
+        self.n_uniforms = instance.m + 2
 
-    def reward_vector(self, t, history, rng):
+    def reward_vector(self, t, rng):
         inst = self.instance
+        planted = rng.random() < self.delta
+        pick = rng.random()
+        keys = rng.random(inst.m)
         v = np.full(self.n_arms, inst.x0)
-        if rng.random() < self.delta:
-            atom = inst.support[int(np.searchsorted(self._cum_weights, rng.random(),
+        if planted:
+            atom = inst.support[int(np.searchsorted(self._cum_weights, pick,
                                                     side="right"))]
-            v[self._planted_arr] = atom[rng.permutation(inst.m)]
+            v[self._planted_arr] = atom[np.argsort(keys)]
+        return v
+
+    def reward_block(self, t0, uniforms):
+        inst = self.instance
+        planted = uniforms[..., 0] < self.delta
+        atoms = inst.support[np.searchsorted(self._cum_weights, uniforms[..., 1],
+                                             side="right")]
+        shuffled = np.take_along_axis(atoms, np.argsort(uniforms[..., 2:], axis=-1),
+                                      axis=-1)
+        v = np.full(uniforms.shape[:-1] + (self.n_arms,), inst.x0)
+        v[..., self._planted_arr] = np.where(planted[..., None], shuffled, inst.x0)
         return v
 
 
@@ -142,8 +181,7 @@ class HardMixtureAdversary(Adversary):
 
 def bernoulli_feedback(mean: float, rng) -> int:
     """Binary reward with the given success probability."""
-    if not -1e-12 <= mean <= 1 + 1e-12:
-        raise ValueError(f"mean {mean} outside [0, 1]")
+    check_unit_interval(float(mean), "Bernoulli mean")
     return int(rng.random() < min(1.0, max(0.0, mean)))
 
 
@@ -151,22 +189,22 @@ def mnl_sample_choice(subset: SubsetAction, values, rng) -> int:
     """Sampled customer choice from the offered subset; -1 means no purchase.
 
     Item i is chosen with probability v_i / (1 + sum of offered v); the
-    remaining mass is the no-purchase outcome.
+    remaining mass is the no-purchase outcome.  One uniform, scaled by the
+    running bound 1 + v_1 + ... + v_K (added left to right), picks the first
+    slot whose running bound exceeds it.
     """
     v = np.asarray(values, dtype=float)
     idx = list(subset.indices)
     offered = v[idx]
     if np.any(offered < 0):
         raise ValueError("utilities must be nonnegative")
-    total = 1.0 + float(offered.sum())
-    u = rng.random() * total
-    if u < 1.0:
-        return -1
-    acc = 1.0
-    for arm, util in zip(idx, offered):
-        acc += util
-        if u < acc:
-            return int(arm)
+    bounds = [1.0]
+    for util in offered:
+        bounds.append(bounds[-1] + float(util))
+    u = rng.random() * bounds[-1]
+    for slot, bound in enumerate(bounds):
+        if u < bound:
+            return -1 if slot == 0 else int(idx[slot - 1])
     return int(idx[-1])
 
 
@@ -174,8 +212,7 @@ def mnl_revenue(subset: SubsetAction, values, prices) -> float:
     """Expected revenue of an offered subset under multinomial-logit choice."""
     v = np.asarray(values, dtype=float)
     p = np.asarray(prices, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("prices must lie in [0, 1]")
+    check_unit_interval(p, "prices", tol=0.0)
     idx = list(subset.indices)
     return float((p[idx] * v[idx]).sum() / (1.0 + v[idx].sum()))
 
@@ -328,6 +365,5 @@ def load_utility_schedule(path, n_arms: int | None = None) -> np.ndarray:
     if not rows:
         raise ValueError("schedule CSV has no rounds")
     sched = np.asarray(rows, dtype=float)
-    if np.any(sched < 0) or np.any(sched > 1):
-        raise ValueError("schedule values must lie in [0, 1]")
+    check_unit_interval(sched, "schedule values", tol=0.0)
     return sched

@@ -1,19 +1,25 @@
-"""Experiment configuration, seeded execution with replications, CSV output.
+"""Experiment configuration, replication-batched execution, CSV output.
 
-Runs are reproducible byte-for-byte: a single 64-bit-seeded generator drives
-each replication, with per-replication seeds derived as base_seed + index.
-Replications share no mutable state, may execute concurrently (capped by the
-``NONLIN_THREADS`` environment variable), and results are ordered by run id
-when written.
+Runs are reproducible byte-for-byte.  Replication r of a config draws from
+an environment and a learner stream seeded by the two children of
+``SeedSequence(base_seed, spawn_key=(r,))``, so no two (base seed,
+replication) pairs share a stream, and every horizon of a sweep reuses the
+same replication seeds (common random numbers).  The R replications of one
+(algorithm, horizon) cell advance in lockstep in ``kernel.run_batch``.  A
+replication gives the same bits alone or in a batch, so a batch that raises
+is re-run one replication at a time and only the replications that fail
+alone are recorded as failed; :func:`run_replication` re-runs one
+replication by its index.  Results are ordered by run id.
+
+:func:`simulate` with ``analysis.regret_of_run`` is the per-round reference
+path (:func:`reference_replication`) that the kernel is tested against.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +33,7 @@ from .core import (
     SubsetAction,
     TabulatedLink,
     expected_reward,
+    subsets_by_rank,
 )
 from .environments import (
     Adversary,
@@ -41,6 +48,7 @@ from .environments import (
     mnl_sample_choice,
 )
 from .hardinstances import HardInstance
+from .kernel import BernoulliChannel, ChoiceChannel, replication_seeds, run_batch
 from .learners import ConstantPolicy, Exp2, SubsetMab
 
 HARD_KINDS = ("hard_nonpoly", "hard_poly", "mnl_hard")
@@ -204,12 +212,15 @@ def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction,
     raise ValueError(f"unknown adversary kind {kind!r}")
 
 
-def build_learner(spec: dict, dims: ProblemDims, horizon: int, link: LinkFunction):
+def build_learner(spec: dict, dims: ProblemDims, horizon: int, link: LinkFunction,
+                  replications: int = 1):
+    """Instantiate the learner with the state of ``replications`` rows."""
     name = spec.get("name")
     params = spec.get("params", {})
     if name in ("exp3", "tsallis_inf"):
         return SubsetMab(dims.n_arms, dims.subset_size, algorithm=name,
-                         mixing=float(params.get("mixing", 0.0)))
+                         mixing=float(params.get("mixing", 0.0)),
+                         replications=replications)
     if name == "exp2":
         if dims.degree is None:
             raise ValueError("exp2 needs dims.d (the tensor order)")
@@ -217,9 +228,11 @@ def build_learner(spec: dict, dims: ProblemDims, horizon: int, link: LinkFunctio
             raise ValueError("exp2 requires a polynomial link of degree <= dims.d")
         return Exp2(dims.n_arms, dims.subset_size, dims.degree, horizon,
                     eta=params.get("eta"), gamma_mix=params.get("gamma_mix"),
-                    design_eps=float(params.get("design_eps", 0.05)))
+                    design_eps=float(params.get("design_eps", 0.05)),
+                    replications=replications)
     if name == "constant":
-        return ConstantPolicy(SubsetAction.from_indices(params["subset"], dims.n_arms))
+        return ConstantPolicy(SubsetAction.from_indices(params["subset"], dims.n_arms),
+                              replications=replications)
     raise ValueError(f"unknown algorithm {name!r}")
 
 
@@ -230,12 +243,15 @@ def build_learner(spec: dict, dims: ProblemDims, horizon: int, link: LinkFunctio
 def simulate(adversary: Adversary, learner, horizon: int, rng,
              link: LinkFunction | None = None, prices=None,
              learner_rng=None) -> list[EnvRecord]:
-    """Interaction loop: adversary draws, learner selects, feedback, update.
+    """Interaction loop of one replication, one round at a time: adversary
+    draws, learner selects, feedback, update.
 
     Exactly one of ``link`` (Bernoulli channel) or ``prices`` (choice channel)
     selects the feedback model.  ``rng`` drives the environment (adversary and
     feedback); the learner samples from ``learner_rng`` when given, which lets
     paired runs of different algorithms face identical hidden-value sequences.
+    Each round draws the kernel's fixed layout, so with the streams of
+    ``kernel.replication_seeds`` this is the reference for ``run_batch``.
     """
     if (link is None) == (prices is None):
         raise ValueError("provide exactly one of link or prices")
@@ -243,7 +259,7 @@ def simulate(adversary: Adversary, learner, horizon: int, rng,
         learner_rng = rng
     records: list[EnvRecord] = []
     for t in range(1, horizon + 1):
-        hidden = adversary.reward_vector(t, records, rng)
+        hidden = adversary.reward_vector(t, rng)
         subset = learner.select(learner_rng)
         if link is not None:
             mean = expected_reward(subset, hidden, link)
@@ -262,8 +278,11 @@ def simulate(adversary: Adversary, learner, horizon: int, rng,
 class RunResult:
     """One replication: checkpointed trace plus the final cumulative regret.
 
-    A replication that died carries the error message in ``error``, an empty
-    trace, and a NaN final regret; other replications are unaffected.
+    ``seed`` is the config's base seed; with ``run_id`` it names the
+    replication's streams (:func:`kernel.replication_seeds`).  ``wall_time_s``
+    is the replication's share of its batch's simulation time.  A replication
+    that died carries the error message in ``error``, an empty trace, and a
+    NaN final regret; other replications are unaffected.
     """
 
     run_id: int
@@ -278,57 +297,91 @@ class RunResult:
 def _checkpoint_rounds(horizon: int, full_trace: bool) -> np.ndarray:
     if full_trace or horizon <= 128:
         return np.arange(1, horizon + 1)
-    pts = np.unique(np.round(np.logspace(0, np.log10(horizon), 128)).astype(int))
-    return np.clip(pts, 1, horizon)
+    pts = np.round(np.logspace(0, np.log10(horizon), 128)).astype(int)
+    return np.unique(np.append(np.clip(pts, 1, horizon), horizon))
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("NONLIN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"NONLIN_THREADS must be an integer, got {raw!r}") from None
-
-
-def _one_replication(config: ExperimentConfig, algo_spec: dict, horizon: int,
-                     run_id: int) -> RunResult:
-    seed = config.base_seed + run_id
-    # two child streams per replication: the environment stream is consumed
-    # identically regardless of the algorithm, so runs of different learners
-    # under the same seed face the same hidden-value sequence (paired runs)
-    env_rng, learner_rng = (np.random.default_rng(child)
-                            for child in np.random.SeedSequence(seed).spawn(2))
+def _cell_parts(config: ExperimentConfig, algo_spec: dict, horizon: int,
+                replications: int):
     link = build_link(config.link_spec)
     adversary, prices = build_adversary(config.adversary_spec, config.dims, link, horizon)
-    learner = build_learner(algo_spec, config.dims, horizon, link)
+    learner = build_learner(algo_spec, config.dims, horizon, link, replications)
+    return link, adversary, prices, learner
+
+
+def _run_cell(config: ExperimentConfig, algo_spec: dict, horizon: int,
+              run_ids: list[int]) -> list[RunResult]:
+    """Replications ``run_ids`` of one (algorithm, horizon) cell as one batch;
+    any error aborts the batch."""
+    link, adversary, prices, learner = _cell_parts(config, algo_spec, horizon,
+                                                   len(run_ids))
+    subsets = subsets_by_rank(config.dims.n_arms, config.dims.subset_size)
+    channel = (BernoulliChannel(link, subsets) if prices is None
+               else ChoiceChannel(prices, subsets))
     start = time.perf_counter()
-    records = simulate(adversary, learner, horizon, env_rng,
-                       link=None if prices is not None else link, prices=prices,
-                       learner_rng=learner_rng)
-    trace = regret_of_run(records,
-                          link=None if prices is not None else link, prices=prices)
-    elapsed = time.perf_counter() - start
-    rows = []
-    for t in _checkpoint_rounds(horizon, config.full_trace):
-        rec = records[t - 1]
-        rows.append((int(t), rec.subset.rank, rec.reward,
-                     float(trace.inst_regret[t - 1]), float(trace.cum_regret[t - 1])))
-    return RunResult(run_id=run_id, seed=seed, config_hash=config.config_hash(),
-                     checkpoints=rows, final_regret=trace.final_regret,
-                     wall_time_s=elapsed)
+    trace = run_batch(adversary, learner, channel, horizon,
+                      [replication_seeds(config.base_seed, r) for r in run_ids],
+                      _checkpoint_rounds(horizon, config.full_trace))
+    share = (time.perf_counter() - start) / len(run_ids)
+    config_hash = config.config_hash()
+    rounds = trace.rounds.tolist()
+    return [
+        RunResult(run_id=run_id, seed=config.base_seed, config_hash=config_hash,
+                  checkpoints=list(zip(rounds, trace.ranks[row].tolist(),
+                                       trace.rewards[row].tolist(),
+                                       trace.inst_regret[row].tolist(),
+                                       trace.cum_regret[row].tolist())),
+                  final_regret=float(trace.final_regret[row]), wall_time_s=share)
+        for row, run_id in enumerate(run_ids)
+    ]
 
 
-def _safe_replication(config: ExperimentConfig, algo_spec: dict, horizon: int,
-                      run_id: int) -> RunResult:
-    """Replication wrapper: a module error becomes a recorded failure result
-    instead of aborting the sibling replications."""
+def _safe_cell(config: ExperimentConfig, algo_spec: dict, horizon: int,
+               run_ids: list[int]) -> list[RunResult]:
+    """:func:`_run_cell` with failure isolation: a batch that raises is re-run
+    one replication at a time, and a replication that raises alone becomes a
+    recorded failure instead of aborting its siblings."""
     try:
-        return _one_replication(config, algo_spec, horizon, run_id)
+        return _run_cell(config, algo_spec, horizon, run_ids)
     except Exception as exc:  # recorded, never propagated past this replication
-        return RunResult(run_id=run_id, seed=config.base_seed + run_id,
-                         config_hash=config.config_hash(), checkpoints=[],
-                         final_regret=float("nan"), wall_time_s=0.0,
-                         error=f"{type(exc).__name__}: {exc}")
+        if len(run_ids) > 1:
+            return [res for run_id in run_ids
+                    for res in _safe_cell(config, algo_spec, horizon, [run_id])]
+        return [RunResult(run_id=run_ids[0], seed=config.base_seed,
+                          config_hash=config.config_hash(), checkpoints=[],
+                          final_regret=float("nan"), wall_time_s=0.0,
+                          error=f"{type(exc).__name__}: {exc}")]
+
+
+def run_replication(config: ExperimentConfig, run_id: int, algo_spec: dict | None = None,
+                    horizon: int | None = None) -> RunResult:
+    """Re-run replication ``run_id`` of ``config`` alone, with the same bits it
+    has inside its batch.  Defaults: the first algorithm, the config horizon."""
+    if run_id < 0:
+        raise ValueError("run_id must be >= 0")
+    return _safe_cell(config,
+                      config.algorithm_specs[0] if algo_spec is None else algo_spec,
+                      config.dims.horizon if horizon is None else horizon, [run_id])[0]
+
+
+def reference_replication(config: ExperimentConfig, algo_spec: dict, horizon: int,
+                          run_id: int) -> RunResult:
+    """Replication ``run_id`` on the per-round reference path:
+    :func:`simulate` and ``regret_of_run`` on the same streams as the kernel."""
+    link, adversary, prices, learner = _cell_parts(config, algo_spec, horizon, 1)
+    env_seed, learner_seed = replication_seeds(config.base_seed, run_id)
+    feedback = {"link": link} if prices is None else {"prices": prices}
+    start = time.perf_counter()
+    records = simulate(adversary, learner, horizon, np.random.default_rng(env_seed),
+                       learner_rng=np.random.default_rng(learner_seed), **feedback)
+    trace = regret_of_run(records, **feedback)
+    elapsed = time.perf_counter() - start
+    rows = [(int(t), records[t - 1].subset.rank, records[t - 1].reward,
+             float(trace.inst_regret[t - 1]), float(trace.cum_regret[t - 1]))
+            for t in _checkpoint_rounds(horizon, config.full_trace)]
+    return RunResult(run_id=run_id, seed=config.base_seed,
+                     config_hash=config.config_hash(), checkpoints=rows,
+                     final_regret=trace.final_regret, wall_time_s=elapsed)
 
 
 def _validate_builds(config: ExperimentConfig, horizon: int):
@@ -339,26 +392,14 @@ def _validate_builds(config: ExperimentConfig, horizon: int):
         build_learner(spec, config.dims, horizon, link)
 
 
-def _map_replications(fn, count: int):
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def run_experiment(config: ExperimentConfig) -> list[RunResult]:
     """Run-mode execution: a single algorithm at the configured horizon."""
     if len(config.algorithm_specs) != 1:
         raise ValueError("run mode takes exactly one algorithm; use sweep for several")
-    algo = config.algorithm_specs[0]
     horizon = config.dims.horizon
     _validate_builds(config, horizon)
-    results = _map_replications(
-        lambda rep: _safe_replication(config, algo, horizon, rep),
-        config.replications,
-    )
-    return sorted(results, key=lambda r: r.run_id)
+    return _safe_cell(config, config.algorithm_specs[0], horizon,
+                      list(range(config.replications)))
 
 
 def run_sweep(config: ExperimentConfig) -> list[dict]:
@@ -366,7 +407,8 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
 
     Emits one summary row per (algorithm, horizon) with the mean final regret
     and its standard error across the successful replications (``reps`` counts
-    those; failed replications are dropped from the aggregates).
+    those; failed replications are dropped from the aggregates).  Every
+    horizon reuses the same replication seeds.
     """
     grid = config.t_grid if config.t_grid is not None else [config.dims.horizon]
     for horizon in grid:
@@ -374,10 +416,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     rows = []
     for algo in config.algorithm_specs:
         for horizon in grid:
-            results = _map_replications(
-                lambda rep: _safe_replication(config, algo, horizon, rep),
-                config.replications,
-            )
+            results = _safe_cell(config, algo, horizon, list(range(config.replications)))
             finals = np.array([r.final_regret for r in results if r.error is None])
             if finals.size == 0:
                 mean, stderr = float("nan"), float("nan")

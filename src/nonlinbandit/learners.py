@@ -4,6 +4,14 @@ tensor-featured linear play with design-based exploration.
 All learners are loss minimizers with the convention loss = 1 - reward; the
 tensorized learner keeps cumulative reward estimates internally, which is
 the same update up to an action-independent shift.
+
+Every learner holds R replications as the rows of (R, A) state arrays and
+advances them in lockstep: ``select_ranks(u)`` maps one uniform per row to
+the played ranks and ``update_ranks(ranks, rewards)`` applies one observation
+per row.  A row's arithmetic never reads its siblings, so a replication
+carries the same bits alone (R = 1) or in a batch.  With R = 1 the object
+API ``select(rng)`` / ``update(action, reward)`` drives the same code, and a
+round draws exactly one uniform from the learner's stream.
 """
 from __future__ import annotations
 
@@ -16,21 +24,46 @@ from .core import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     SubsetAction,
+    check_unit_interval,
     n_subsets,
     tensor_features,
     unrank_subset,
 )
 
 
-def _sample_index(probs: np.ndarray, rng) -> int:
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    return int(np.searchsorted(cum, rng.random(), side="right"))
+def _sample_ranks(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row: the number of cumulative probabilities at or
+    below the row's uniform (``searchsorted(..., side="right")``)."""
+    cum = np.add.accumulate(probs, axis=1)
+    cum[:, -1] = 1.0
+    return (cum <= uniforms[:, None]).sum(axis=1)
 
 
-def _check_reward(reward: float):
-    if not 0.0 <= reward <= 1.0:
-        raise ValueError(f"reward {reward} outside [0, 1]")
+class _Batched:
+    """Helpers of the single-replication object API (``select`` / ``update``,
+    defined on each learner) on top of the batched methods."""
+
+    replications = 1
+
+    def _solo(self):
+        if self.replications != 1:
+            raise ValueError("select/update drive one replication; "
+                             "use select_ranks/update_ranks for a batch")
+
+    def _rows_or_solo(self, state: np.ndarray) -> np.ndarray:
+        return state[0] if self.replications == 1 else state
+
+    def _solo_rank(self, rng) -> int:
+        """The rank one replication plays, from one uniform of ``rng``."""
+        self._solo()
+        return int(self.select_ranks(np.array([rng.random()]))[0])
+
+    def _solo_update(self, rank: int, reward: float):
+        self._solo()
+        self.update_ranks(np.array([rank]), np.array([float(reward)]))
+
+    def _action(self, rank: int) -> SubsetAction:
+        return SubsetAction(unrank_subset(rank, self.n_arms, self.subset_size), rank)
 
 
 # ---------------------------------------------------------------------------
@@ -40,22 +73,24 @@ def _check_reward(reward: float):
 def tsallis_distribution(cum_losses, eta: float, tol: float = 1e-12,
                          max_iters: int = 300) -> np.ndarray:
     """Weights 4 / (eta * (L_i - x))**2 with the normalization scalar x solved
-    by safeguarded Newton/bisection so the weights sum to 1 within ``tol``.
+    by safeguarded Newton/bisection from a cold start so the weights sum to 1
+    within ``tol``: the reference for :func:`tsallis_rows`.
 
     The sum is increasing in x on (-inf, min L), and the bracket
     [min L - 2 sqrt(A)/eta, min L - 2/(eta sqrt(A))] always contains the
-    root, so bisection fallback cannot fail.
+    root, so bisection fallback cannot fail.  The solve runs on the gaps
+    L - min L, so its resolution does not degrade with the size of L.
     """
     losses = np.asarray(cum_losses, dtype=float)
     n = losses.size
     if n == 1:
         return np.ones(1)
-    lmin = float(losses.min())
-    lo = lmin - 2.0 * math.sqrt(n) / eta
-    hi = lmin - 2.0 / (eta * math.sqrt(n))
+    gaps = losses - losses.min()
+    lo = -2.0 * math.sqrt(n) / eta
+    hi = -2.0 / (eta * math.sqrt(n))
     x = 0.5 * (lo + hi)
     for _ in range(max_iters):
-        w = 4.0 / (eta * (losses - x)) ** 2
+        w = 4.0 / (eta * (gaps - x)) ** 2
         resid = float(w.sum()) - 1.0
         if abs(resid) <= tol:
             return w
@@ -71,20 +106,65 @@ def tsallis_distribution(cum_losses, eta: float, tol: float = 1e-12,
                        f"(residual {resid:.3e})")
 
 
-class SubsetMab:
+def tsallis_rows(cum_losses, eta: float, start=None, tol: float = 1e-12,
+                 max_iters: int = 300) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise Tsallis-INF distributions of an (R, A) batch of cumulative
+    losses; returns the distributions and the normalizers x (shape (R,)).
+
+    Each row solves s(x) = sum_i 4 / (eta (L_i - x))**2 = 1 by Newton's
+    method on s(x)**-1/2 - 1, which is concave and decreasing in x: from the
+    right of the root the iterates fall monotonically onto it, and a step from
+    the left lands on its right.  The start is the previous normalizer
+    ``start`` (warm start) capped at min L - 2/(eta sqrt(A)), where s >= A
+    >= 1, i.e. never left of the root; without ``start`` the cap itself.  A
+    row that meets |s - 1| <= ``tol`` is frozen while its siblings iterate,
+    so its bits never depend on them; the weights are then divided by s.
+    Raises after ``max_iters`` evaluations if any row is still off.
+    """
+    losses = np.asarray(cum_losses, dtype=float)
+    lmin = losses.min(axis=1, keepdims=True)
+    n = losses.shape[1]
+    if n == 1:
+        return np.ones_like(losses), (lmin - 2.0 / eta)[:, 0]
+    gaps = losses - lmin
+    cap = -2.0 / (eta * math.sqrt(n))
+    y = (np.full_like(lmin, cap) if start is None
+         else np.minimum(np.asarray(start, dtype=float)[:, None] - lmin, cap))
+    scale = 4.0 / (eta * eta)
+    for _ in range(max_iters):
+        inv = 1.0 / (gaps - y)
+        inv2 = inv * inv
+        s2 = np.add.reduce(inv2, axis=1, keepdims=True)
+        total = scale * s2  # s(y)
+        resid = np.abs(total - 1.0)[:, 0].tolist()
+        done = [r <= tol for r in resid]  # NaN is never done
+        if all(done):
+            return inv2 * (scale / total), (lmin + y)[:, 0]
+        # Newton on s**-1/2: y + 2 s (1 - sqrt s) / s'(y), s' = 2 scale S3
+        s3 = np.add.reduce(inv2 * inv, axis=1, keepdims=True)
+        step = np.minimum(y + s2 * (1.0 - np.sqrt(total)) / s3, cap)
+        y = np.where(np.array(done)[:, None], y, step) if any(done) else step
+    raise RuntimeError(f"normalization did not converge within {max_iters} iterations "
+                       f"(largest residual {max(resid):.3e})")
+
+
+class SubsetMab(_Batched):
     """Treats every size-K subset as an independent arm.
 
     ``algorithm`` picks the weight map: ``exp3`` uses exponential weights with
     the anytime rate sqrt(ln A / (A t)) and optional uniform mixing;
-    ``tsallis_inf`` uses the 1/2-Tsallis mirror map with rate 2/sqrt(t).
+    ``tsallis_inf`` uses the 1/2-Tsallis mirror map with rate 2/sqrt(t),
+    normalized by :func:`tsallis_rows` warm-started from the previous round.
     Updates apply the importance-weighted loss estimate (1 - reward)/p to the
-    played arm only.
+    played arm only.  ``losses`` holds the (R, A) cumulative loss estimates;
+    ``cum_losses`` is its single row when R = 1.
     """
 
     algorithms = ("exp3", "tsallis_inf")
 
     def __init__(self, n_arms: int, subset_size: int, algorithm: str = "exp3",
-                 mixing: float = 0.0, cap: int = DEFAULT_ENUMERATION_CAP):
+                 mixing: float = 0.0, cap: int = DEFAULT_ENUMERATION_CAP,
+                 replications: int = 1):
         if algorithm not in self.algorithms:
             raise ValueError(f"algorithm must be one of {self.algorithms}")
         count = n_subsets(n_arms, subset_size)
@@ -97,37 +177,57 @@ class SubsetMab:
         self.algorithm = algorithm
         self.mixing = mixing
         self.n_actions = count
-        self.cum_losses = np.zeros(count)
+        self.replications = replications
+        self.losses = np.zeros((replications, count))
         self.rounds = 0
+        self._rows = np.arange(replications)
         self._dist: np.ndarray | None = None
+        self._normalizers: np.ndarray | None = None
 
-    def distribution(self) -> np.ndarray:
-        """Current sampling distribution over subset ranks."""
+    @property
+    def cum_losses(self) -> np.ndarray:
+        return self._rows_or_solo(self.losses)
+
+    @cum_losses.setter
+    def cum_losses(self, value):
+        self.losses = np.array(value, dtype=float).reshape(self.replications,
+                                                           self.n_actions)
+        self._dist = None
+
+    def _probabilities(self) -> np.ndarray:
         if self._dist is None:
             t = self.rounds + 1
             a = self.n_actions
             if self.algorithm == "exp3":
                 eta = math.sqrt(math.log(a) / (a * t)) if a > 1 else 0.0
-                z = -eta * (self.cum_losses - self.cum_losses.min())
-                p = np.exp(z)
-                p /= p.sum()
+                p = np.exp(-eta * (self.losses - self.losses.min(axis=1, keepdims=True)))
+                p /= p.sum(axis=1, keepdims=True)
                 if self.mixing > 0:
                     p = (1.0 - self.mixing) * p + self.mixing / a
             else:
-                eta = 2.0 / math.sqrt(t)
-                p = tsallis_distribution(self.cum_losses, eta)
-                p = p / p.sum()
+                p, self._normalizers = tsallis_rows(self.losses, 2.0 / math.sqrt(t),
+                                                    start=self._normalizers)
             self._dist = p
         return self._dist
 
+    def distribution(self) -> np.ndarray:
+        """Current sampling distribution over subset ranks: (A,) for one
+        replication, (R, A) for a batch."""
+        return self._rows_or_solo(self._probabilities())
+
     def select(self, rng) -> SubsetAction:
-        rank = _sample_index(self.distribution(), rng)
-        return SubsetAction(unrank_subset(rank, self.n_arms, self.subset_size), rank)
+        return self._action(self._solo_rank(rng))
 
     def update(self, action: SubsetAction, reward: float):
-        _check_reward(reward)
-        prob = float(self.distribution()[action.rank])
-        self.cum_losses[action.rank] += (1.0 - reward) / prob
+        self._solo_update(action.rank, reward)
+
+    def select_ranks(self, uniforms: np.ndarray) -> np.ndarray:
+        return _sample_ranks(self._probabilities(), uniforms)
+
+    def update_ranks(self, ranks: np.ndarray, rewards: np.ndarray):
+        check_unit_interval(rewards, "reward", tol=0.0)
+        probs = self._probabilities()[self._rows, ranks]
+        self.losses[self._rows, ranks] += (1.0 - rewards) / probs
         self.rounds += 1
         self._dist = None
 
@@ -135,6 +235,10 @@ class SubsetMab:
 # ---------------------------------------------------------------------------
 # Experimental design
 # ---------------------------------------------------------------------------
+
+def _span_rank(svals: np.ndarray) -> int:
+    return int(np.sum(svals > 1e-10 * svals[0])) if svals.size else 0
+
 
 @dataclass
 class DesignWeights:
@@ -146,22 +250,24 @@ class DesignWeights:
     certified: bool
 
 
-def kw_optimal_design(features, eps: float = 0.05,
-                      max_iters: int = 10_000) -> DesignWeights:
+def kw_optimal_design(features, eps: float = 0.05, max_iters: int = 10_000,
+                      rank: int | None = None) -> DesignWeights:
     """Log-determinant-optimal design by Frank-Wolfe mass additions.
 
     Each step moves mass onto the action with the largest leverage score
     x' M(pi)^+ x using the exact line-search step; stops once the maximum
     leverage is within (1 + eps) of the feature-span rank, which is the
     equivalence-theorem optimum.  Exhausting ``max_iters`` returns the best
-    design found, flagged as not certified.
+    design found, flagged as not certified.  ``rank`` is the feature-span
+    rank when the caller already has it; otherwise it is counted from the
+    singular values above 1e-10 of the largest.
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     n_actions, dim = x.shape
     if n_actions < 1:
         raise ValueError("need at least one feature")
-    svals = np.linalg.svd(x, compute_uv=False)
-    rank = int(np.sum(svals > 1e-10 * svals[0])) if svals.size else 0
+    if rank is None:
+        rank = _span_rank(np.linalg.svd(x, compute_uv=False))
     if rank == 0:
         raise ValueError("features are all zero")
     pi = np.full(n_actions, 1.0 / n_actions)
@@ -186,7 +292,7 @@ def kw_optimal_design(features, eps: float = 0.05,
 # Tensorized linear play
 # ---------------------------------------------------------------------------
 
-class Exp2:
+class Exp2(_Batched):
     """Exponential weights over tensor-featured subset actions.
 
     Sampling mixes the weight distribution with a fixed design ``pi``:
@@ -203,18 +309,21 @@ class Exp2:
 
     U'PU is positive definite with smallest eigenvalue at least min(p) > 0
     (``gamma_mix`` > 0 keeps every p_a positive), so one r x r solve per
-    round replaces the N^d x N^d pseudo-inverse: O(A r^2) to form U'PU plus
-    the solve, with r = 8 at d=1, N=8 and r = 21 at d=2, N=7.
-    ``second_moment_pinv`` stays as the reference path the tests compare
-    against.  The features are still the N^d tensor columns; the smaller
-    table of sub-subset indicators 1[T subset of S], |T| <= d, which spans
-    the same space, is not used yet.
+    round and replication replaces the N^d x N^d pseudo-inverse: O(A r^2) to
+    form U'PU plus the solve, with r = 8 at d=1, N=8 and r = 21 at d=2, N=7;
+    a batch stacks the R systems into one (R, r, r) solve.  The same SVD
+    gives the span rank the design search needs.  ``second_moment_pinv``
+    stays as the reference path the tests compare against.  The features
+    are still the N^d tensor columns; the smaller table of sub-subset
+    indicators 1[T subset of S], |T| <= d, which spans the same space, is not
+    used yet.  ``estimates`` holds the (R, A) cumulative reward estimates;
+    ``cum_reward_estimates`` is its single row when R = 1.
     """
 
     def __init__(self, n_arms: int, subset_size: int, order: int, horizon: int,
                  eta: float | None = None, gamma_mix: float | None = None,
                  design_eps: float = 0.05, design_max_iters: int = 10_000,
-                 cap: int = DEFAULT_ENUMERATION_CAP):
+                 cap: int = DEFAULT_ENUMERATION_CAP, replications: int = 1):
         count = n_subsets(n_arms, subset_size)
         dim = n_arms ** order
         if dim > cap or count * dim > cap:
@@ -231,10 +340,11 @@ class Exp2:
                             n_arms, order, cap=cap)
             for r in range(count)
         ])
-        self.design = kw_optimal_design(self.features, eps=design_eps,
-                                        max_iters=design_max_iters)
         left, svals, _ = np.linalg.svd(self.features, full_matrices=False)
-        self.span_basis = left[:, :int(np.sum(svals > 1e-10 * svals[0]))]
+        rank = _span_rank(svals)
+        self.design = kw_optimal_design(self.features, eps=design_eps,
+                                        max_iters=design_max_iters, rank=rank)
+        self.span_basis = left[:, :rank]
         if gamma_mix is None:
             gamma_mix = min(0.5, math.sqrt(dim * math.log(max(count, 2)) / horizon))
         if eta is None:
@@ -243,18 +353,32 @@ class Exp2:
             raise ValueError("need gamma_mix in (0, 1] and eta > 0")
         self.gamma_mix = float(gamma_mix)
         self.eta = float(eta)
-        self.cum_reward_estimates = np.zeros(count)
+        self.replications = replications
+        self.estimates = np.zeros((replications, count))
         self.rounds = 0
         self._dist: np.ndarray | None = None
 
-    def sampling_distribution(self) -> np.ndarray:
+    @property
+    def cum_reward_estimates(self) -> np.ndarray:
+        return self._rows_or_solo(self.estimates)
+
+    @cum_reward_estimates.setter
+    def cum_reward_estimates(self, value):
+        self.estimates = np.array(value, dtype=float).reshape(self.replications,
+                                                              self.n_actions)
+        self._dist = None
+
+    def _probabilities(self) -> np.ndarray:
         if self._dist is None:
-            shifted = self.eta * (self.cum_reward_estimates
-                                  - self.cum_reward_estimates.max())
-            q = np.exp(shifted)
-            q /= q.sum()
+            q = np.exp(self.eta * (self.estimates
+                                   - self.estimates.max(axis=1, keepdims=True)))
+            q /= q.sum(axis=1, keepdims=True)
             self._dist = (1.0 - self.gamma_mix) * q + self.gamma_mix * self.design.weights
         return self._dist
+
+    def sampling_distribution(self) -> np.ndarray:
+        """(A,) for one replication, (R, A) for a batch."""
+        return self._rows_or_solo(self._probabilities())
 
     def second_moment_pinv(self, probs=None) -> np.ndarray:
         """Pseudo-inverse of the feature second-moment matrix of ``probs``."""
@@ -263,34 +387,54 @@ class Exp2:
         moment = self.features.T @ (np.asarray(probs)[:, None] * self.features)
         return np.linalg.pinv(moment, rcond=1e-10, hermitian=True)
 
+    def _estimate_rows(self, ranks, rewards, probs) -> np.ndarray:
+        """(R, A) estimates U (U'P_iU)^-1 U' e_(S_i) r_i, one stacked solve."""
+        basis = self.span_basis
+        gram = (basis.T * probs[:, None, :]) @ basis
+        coef = np.linalg.solve(gram, basis[ranks][:, :, None])
+        return (basis @ coef)[:, :, 0] * rewards[:, None]
+
     def estimate_rewards(self, rank: int, reward: float, probs=None) -> np.ndarray:
         """Per-action reward estimates F M(p)^+ x_S r from one observed
         (action, reward) pair, by a solve on the feature span."""
         if probs is None:
             probs = self.sampling_distribution()
-        basis = self.span_basis
-        gram = basis.T @ (np.asarray(probs)[:, None] * basis)
-        return basis @ np.linalg.solve(gram, basis[rank]) * reward
+        return self._estimate_rows(np.array([rank]), np.array([float(reward)]),
+                                   np.asarray(probs, dtype=float)[None])[0]
 
     def select(self, rng) -> SubsetAction:
-        rank = _sample_index(self.sampling_distribution(), rng)
-        return SubsetAction(unrank_subset(rank, self.n_arms, self.subset_size), rank)
+        return self._action(self._solo_rank(rng))
 
     def update(self, action: SubsetAction, reward: float):
-        _check_reward(reward)
-        self.cum_reward_estimates += self.estimate_rewards(action.rank, reward)
+        self._solo_update(action.rank, reward)
+
+    def select_ranks(self, uniforms: np.ndarray) -> np.ndarray:
+        return _sample_ranks(self._probabilities(), uniforms)
+
+    def update_ranks(self, ranks: np.ndarray, rewards: np.ndarray):
+        check_unit_interval(rewards, "reward", tol=0.0)
+        self.estimates += self._estimate_rows(ranks, rewards, self._probabilities())
         self.rounds += 1
         self._dist = None
 
 
-class ConstantPolicy:
-    """Always plays one fixed subset and ignores feedback."""
+class ConstantPolicy(_Batched):
+    """Always plays one fixed subset and ignores feedback (its one uniform
+    per round is drawn and discarded, like every learner's)."""
 
-    def __init__(self, subset: SubsetAction):
+    def __init__(self, subset: SubsetAction, replications: int = 1):
         self.subset = subset
+        self.replications = replications
 
     def select(self, rng) -> SubsetAction:
+        self._solo_rank(rng)
         return self.subset
 
     def update(self, action: SubsetAction, reward: float):
-        _check_reward(reward)
+        self._solo_update(action.rank, reward)
+
+    def select_ranks(self, uniforms: np.ndarray) -> np.ndarray:
+        return np.full(uniforms.shape, self.subset.rank)
+
+    def update_ranks(self, ranks: np.ndarray, rewards: np.ndarray):
+        check_unit_interval(rewards, "reward", tol=0.0)

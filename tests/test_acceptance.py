@@ -127,7 +127,7 @@ def test_criterion_3_indistinguishability(mnl_hard_m2, mnl_link):
     rewards = np.empty(draws)
     choices = {-1: 0, 1: 0, 2: 0}
     for t in range(draws):
-        v = adv.reward_vector(t + 1, [], rng)
+        v = adv.reward_vector(t + 1, rng)
         rewards[t] = expected_reward(offered, v, mnl_link)
         choices[mnl_sample_choice(offered, v, rng)] += 1
     sigma = rewards.std(ddof=1) / math.sqrt(draws)

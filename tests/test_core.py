@@ -152,6 +152,26 @@ def test_expected_reward_validates():
         expected_reward(s, np.array([1.0, 1.0, 0.0, 0.0]), big)
 
 
+def test_check_unit_interval():
+    from nonlinbandit.core import check_unit_interval
+
+    check_unit_interval(np.array([0.0, 1.0 + 1e-13, -1e-13]), "values")
+    check_unit_interval(np.empty(0), "values")
+    check_unit_interval(1.0 + 5e-10, "link value", tol=1e-9, error=LinkRangeError)
+    for bad in (np.array([0.5, np.nan]), np.array([np.nan, 0.5]), float("nan"),
+                np.array([1.0 + 1e-11]), -1e-11):
+        with pytest.raises(ValueError, match="outside"):
+            check_unit_interval(bad, "values")
+    with pytest.raises(LinkRangeError):
+        check_unit_interval(np.array([[0.2, 1.1]]), "link value", tol=1e-9,
+                            error=LinkRangeError)
+    with pytest.raises(ValueError):
+        check_unit_interval(1.0 + 1e-15, "reward", tol=0.0)
+    with pytest.raises(ValueError):  # the NaN check holds for a batch of rewards
+        expected_reward(SubsetAction.from_indices((0, 1), 3), [0.1, np.nan, 0.2],
+                        MnlLink())
+
+
 def test_best_subset_monotone_link_takes_largest():
     g = MnlLink()
     v = np.array([0.1, 0.8, 0.3, 0.9, 0.2])

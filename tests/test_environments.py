@@ -32,11 +32,33 @@ from nonlinbandit import (
 def test_hard_adversary_low_delta_is_mostly_baseline(mnl_hard_m2, mnl_link, rng):
     adv = HardMixtureAdversary(mnl_hard_m2, mnl_link, (0, 1), delta=0.01,
                                n_arms=5, subset_size=2)
-    draws = [adv.reward_vector(t, [], rng) for t in range(1, 401)]
+    draws = [adv.reward_vector(t, rng) for t in range(1, 401)]
     baseline = sum(np.allclose(v, mnl_hard_m2.x0) for v in draws)
     assert baseline > 380  # ~binomial(400, 0.99)
     for v in draws:
         assert np.allclose(v[2:], mnl_hard_m2.x0)  # off-planted arms never move
+
+
+def test_reward_block_matches_per_round_draws(mnl_hard_m3, mnl_link):
+    # the kernel's block path and the reference per-round path read the same
+    # fixed layout of m + 2 uniforms per round and give the same bits
+    adv = HardMixtureAdversary(mnl_hard_m3, mnl_link, (1, 3, 4), delta=0.5,
+                               n_arms=6, subset_size=3)
+    assert adv.n_uniforms == 5
+    uniforms = np.random.default_rng(3).random((2, 50, adv.n_uniforms))
+    block = adv.reward_block(1, uniforms)
+    for row in range(2):
+        stream = np.random.default_rng(3)
+        stream.random(row * 50 * adv.n_uniforms)  # skip the rows before
+        for t in range(50):
+            assert np.array_equal(adv.reward_vector(t + 1, stream), block[row, t])
+    planted = uniforms[..., 0] < 0.5
+    assert np.all((block[..., [1, 3, 4]] != mnl_hard_m3.x0).any(axis=-1) <= planted)
+    obl = ObliviousAdversary([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    assert np.array_equal(obl.reward_block(2, np.empty((1, 2, 0)))[0],
+                          [[0.3, 0.4], [0.5, 0.6]])
+    with pytest.raises(ValueError):
+        obl.reward_block(3, np.empty((1, 2, 0)))
 
 
 def test_hard_adversary_refuses_invalid_instance(mnl_link):
@@ -87,7 +109,7 @@ def test_mixture_mean_monte_carlo(mnl_hard_m2, mnl_link):
     subsets = {0: (0, 2), 1: (1, 2), 2: (1, 3)}
     counts = {ov: [] for ov in subsets}
     for t in range(1, 50_001):
-        v = adv.reward_vector(t, [], rng)
+        v = adv.reward_vector(t, rng)
         for overlap, idx in subsets.items():
             counts[overlap].append(mnl_link(float(v[list(idx)].sum())))
     for overlap, vals in counts.items():
@@ -107,7 +129,7 @@ def test_poly_adversary_single_special_arm(mnl_link):
     inst = find_hard_instance(mnl_link, m=1, b=3, grid_step=1 / 25)
     adv = HardMixtureAdversary(inst, mnl_link, (2,), 0.5, n_arms=5, subset_size=3)
     rng = np.random.default_rng(0)
-    v = adv.reward_vector(1, [], rng)
+    v = adv.reward_vector(1, rng)
     assert v.shape == (5,)
     off = [i for i in range(5) if i != 2]
     assert np.allclose(v[off], inst.x0)
@@ -185,7 +207,7 @@ def test_mnl_choice_law_monte_carlo(mnl_hard_m2, mnl_link):
     n = 100_000
     hits = {-1: 0, 1: 0, 2: 0}
     for t in range(1, n + 1):
-        v = adv.reward_vector(t, [], rng)
+        v = adv.reward_vector(t, rng)
         hits[mnl_sample_choice(offered, v, rng)] += 1
     law = mnl_mixture_choice_law(mnl_hard_m2, delta, overlap=1, subset_size=2)
     for key, prob in ((-1, law.no_purchase), (1, law.planted_item), (2, law.other_item)):
@@ -224,11 +246,11 @@ def test_mnl_revenue_examples(rng):
 
 def test_stochastic_and_oblivious_adversaries(rng):
     sto = StochasticAdversary([0.1, 0.9])
-    assert np.array_equal(sto.reward_vector(1, [], rng), [0.1, 0.9])
+    assert np.array_equal(sto.reward_vector(1, rng), [0.1, 0.9])
     obl = ObliviousAdversary([[0.1, 0.2], [0.3, 0.4]])
-    assert np.array_equal(obl.reward_vector(2, [], rng), [0.3, 0.4])
+    assert np.array_equal(obl.reward_vector(2, rng), [0.3, 0.4])
     with pytest.raises(ValueError):
-        obl.reward_vector(3, [], rng)
+        obl.reward_vector(3, rng)
 
 
 def test_load_utility_schedule(tmp_path):

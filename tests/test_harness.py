@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from nonlinbandit import ExperimentConfig, run_experiment, run_sweep, write_run_csv
+from nonlinbandit import (
+    ExperimentConfig,
+    reference_replication,
+    run_experiment,
+    run_replication,
+    run_sweep,
+    write_run_csv,
+)
 from nonlinbandit.cli import main, parse_link_arg
 
 
@@ -75,21 +82,92 @@ def test_replications_independent_of_order(mnl_hard_m2):
     config = _hard_run_config(mnl_hard_m2, {"name": "tsallis_inf", "params": {}},
                               reps=3)
     together = run_experiment(config)
-    for rep in range(3):
-        solo_cfg = _hard_run_config(mnl_hard_m2, {"name": "tsallis_inf", "params": {}},
-                                    reps=1, seed=7 + rep)
-        solo = run_experiment(solo_cfg)[0]
+    for rep in (2, 0, 1):
+        solo = run_replication(config, rep)
         assert solo.final_regret == together[rep].final_regret
-        assert solo.seed == together[rep].seed
+        assert solo.checkpoints == together[rep].checkpoints
+        assert (solo.run_id, solo.seed) == (together[rep].run_id, together[rep].seed)
 
 
-def test_threaded_execution_matches_serial(mnl_hard_m2, monkeypatch):
-    config = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, reps=3)
-    serial = run_experiment(config)
-    monkeypatch.setenv("NONLIN_THREADS", "3")
-    threaded = run_experiment(config)
-    assert [r.final_regret for r in serial] == [r.final_regret for r in threaded]
-    assert [r.run_id for r in threaded] == [0, 1, 2]
+def test_replication_seeds_do_not_alias_across_base_seeds(mnl_hard_m2):
+    # base 7 / replication 1 and base 8 / replication 0 are different streams
+    first = run_experiment(_hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}},
+                                            reps=2, seed=7))[1]
+    second = run_experiment(_hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}},
+                                             reps=1, seed=8))[0]
+    assert first.checkpoints != second.checkpoints
+
+
+def _channel_configs(mnl_hard_m2, quadratic_hard_m2, horizon):
+    """(label, config) pairs covering exp3, tsallis_inf, exp2 and constant on the
+    Bernoulli and on the choice channel, full traces, three replications."""
+    link, quad = quadratic_hard_m2
+    schedule = np.random.default_rng(5).uniform(0, 1, size=(horizon, 4)).tolist()
+    common = {"replications": 3, "base_seed": 11, "full_trace": True}
+    bernoulli = {"dims": {"N": 5, "K": 2, "T": horizon, "d": None},
+                 "link": {"kind": "mnl"},
+                 "adversary": {"kind": "hard_nonpoly", "instance": mnl_hard_m2.to_json_dict(),
+                               "s_star": [0, 1], "delta": 0.3}}
+    choice = {"dims": {"N": 4, "K": 2, "T": horizon, "d": None},
+              "link": {"kind": "mnl"},
+              "adversary": {"kind": "mnl_hard", "instance": mnl_hard_m2.to_json_dict(),
+                            "s_star": [0, 2], "delta": 0.4}}
+    exp2_bernoulli = {"dims": {"N": 5, "K": 3, "T": horizon, "d": 2},
+                      "link": {"kind": "polynomial", "coefficients": list(link.coefficients)},
+                      "adversary": {"kind": "hard_poly", "instance": quad.to_json_dict(),
+                                    "s_star": [1, 3], "delta": 0.5}}
+    exp2_choice = {"dims": {"N": 4, "K": 2, "T": horizon, "d": 1},
+                   "link": {"kind": "polynomial", "coefficients": [0.0, 0.5]},
+                   "adversary": {"kind": "mnl_general", "prices": [1.0, 0.7, 0.4, 0.9],
+                                 "schedule": schedule}}
+    exp2 = {"name": "exp2", "params": {"gamma_mix": 0.05, "eta": 0.05}}
+    out = []
+    for channel, base, subset in (("bernoulli", bernoulli, [2, 3]),
+                                  ("choice", choice, [0, 2])):
+        for algo in ({"name": "exp3", "params": {}}, {"name": "tsallis_inf", "params": {}},
+                     {"name": "constant", "params": {"subset": subset}}):
+            out.append((f"{algo['name']}/{channel}",
+                        ExperimentConfig.from_dict({**base, **common, "algorithms": [algo]})))
+    for channel, base in (("bernoulli", exp2_bernoulli), ("choice", exp2_choice)):
+        out.append((f"exp2/{channel}",
+                    ExperimentConfig.from_dict({**base, **common, "algorithms": [exp2]})))
+    return out
+
+
+def test_batched_replications_match_solo(mnl_hard_m2, quadratic_hard_m2):
+    # every replication carries the same bits alone (R = 1) and in its batch
+    for label, config in _channel_configs(mnl_hard_m2, quadratic_hard_m2, 300):
+        batch = run_experiment(config)
+        assert [r.run_id for r in batch] == [0, 1, 2], label
+        for rep in range(3):
+            solo = run_replication(config, rep)
+            assert batch[rep].error is None and solo.error is None, label
+            assert solo.checkpoints == batch[rep].checkpoints, label
+            assert solo.final_regret == batch[rep].final_regret, label
+
+
+def _assert_regret_close(kernel, reference, label):
+    scale = max(1.0, abs(reference))
+    assert abs(kernel - reference) <= 1e-9 * scale, (label, kernel, reference)
+
+
+@pytest.mark.parametrize("horizon", [300, 2000])
+def test_kernel_matches_per_round_reference(mnl_hard_m2, quadratic_hard_m2, horizon):
+    # the batched kernel against simulate + regret_of_run on the same streams:
+    # identical played ranks and rewards, regret equal to 1e-9 relative; at
+    # T = 2000 the trace is checkpointed (log-spaced rounds)
+    for label, config in _channel_configs(mnl_hard_m2, quadratic_hard_m2, horizon):
+        config.full_trace = horizon <= 300
+        batch = run_experiment(config)
+        for rep in range(3):
+            ref = reference_replication(config, config.algorithm_specs[0], horizon, rep)
+            got = batch[rep].checkpoints
+            assert [row[:3] for row in got] == [row[:3] for row in ref.checkpoints], label
+            for mine, theirs in zip(got, ref.checkpoints):
+                _assert_regret_close(mine[3], theirs[3], label)
+                _assert_regret_close(mine[4], theirs[4], label)
+            _assert_regret_close(batch[rep].final_regret, ref.final_regret, label)
+            assert got[-1][0] == horizon
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +266,28 @@ def test_mnl_hard_through_harness(mnl_hard_m2):
 def test_failed_replication_recorded_others_proceed(mnl_hard_m2, monkeypatch, tmp_path):
     import nonlinbandit.harness as harness_mod
 
-    original = harness_mod._one_replication
-
-    def flaky(config, algo, horizon, rep):
-        if rep == 1:
-            raise RuntimeError("boom")
-        return original(config, algo, horizon, rep)
-
-    monkeypatch.setattr(harness_mod, "_one_replication", flaky)
     config = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, reps=3)
+    clean = run_experiment(config)
+    original = harness_mod._run_cell
+
+    def flaky(config, algo, horizon, run_ids):
+        # any batch holding replication 1 raises, as a numeric failure would
+        if 1 in run_ids:
+            raise RuntimeError("boom")
+        return original(config, algo, horizon, run_ids)
+
+    monkeypatch.setattr(harness_mod, "_run_cell", flaky)
     results = run_experiment(config)
+    assert [r.run_id for r in results] == [0, 1, 2]
     assert results[1].error is not None and "boom" in results[1].error
-    assert results[0].error is None and results[2].error is None
     assert math.isnan(results[1].final_regret)
+    for rep in (0, 2):  # re-run alone, the survivors keep their batch bits
+        assert results[rep].error is None
+        assert results[rep].checkpoints == clean[rep].checkpoints
     out = tmp_path / "flaky.csv"
     write_run_csv(results, out)
     lines = out.read_text().splitlines()
-    assert any(line.startswith("1,8,0,-1,nan") for line in lines)
+    assert any(line.startswith("1,7,0,-1,nan") for line in lines)
 
 
 def test_mnl_general_through_harness(rng):
@@ -230,6 +313,29 @@ def test_exp2_requires_polynomial_link(mnl_hard_m2):
     config.dims = type(config.dims)(5, 2, 400, degree=1)
     with pytest.raises(ValueError, match="polynomial"):
         run_experiment(config)
+
+
+def test_exp2_design_built_once_per_cell(monkeypatch):
+    import nonlinbandit.learners as learners_mod
+
+    calls = []
+    original = learners_mod.kw_optimal_design
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(learners_mod, "kw_optimal_design", counting)
+    config = ExperimentConfig.from_dict({
+        "dims": {"N": 5, "K": 2, "T": 50, "d": 2},
+        "link": {"kind": "polynomial", "coefficients": [0.1, 0.2, 0.05]},
+        "adversary": {"kind": "stochastic", "v": [0.1, 0.5, 0.9, 0.3, 0.2]},
+        "algorithms": [{"name": "exp2", "params": {}}],
+        "replications": 4,
+        "base_seed": 0,
+    })
+    assert all(r.error is None for r in run_experiment(config))
+    assert len(calls) == 2  # the up-front validation build and the one batch
 
 
 def test_stochastic_exp2_through_harness(tmp_path):
@@ -331,14 +437,14 @@ def test_cli_sweep_exits_two_when_replications_fail(tmp_path, mnl_hard_m2, monke
                                                     capsys):
     import nonlinbandit.harness as harness_mod
 
-    original = harness_mod._one_replication
+    original = harness_mod._run_cell
 
-    def flaky(config, algo, horizon, rep):
-        if rep == 1 and horizon == 120:
+    def flaky(config, algo, horizon, run_ids):
+        if 1 in run_ids and horizon == 120:
             raise RuntimeError("boom")
-        return original(config, algo, horizon, rep)
+        return original(config, algo, horizon, run_ids)
 
-    monkeypatch.setattr(harness_mod, "_one_replication", flaky)
+    monkeypatch.setattr(harness_mod, "_run_cell", flaky)
     config = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, reps=3,
                               t_grid=[60, 120])
     cfg_path = tmp_path / "sweep.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlinbandit import (
     ConstantPolicy,
@@ -12,6 +14,7 @@ from nonlinbandit import (
     kw_optimal_design,
     lift_reward_vector,
     tsallis_distribution,
+    tsallis_rows,
 )
 
 
@@ -62,6 +65,51 @@ def test_tsallis_normalization_residual(rng):
         w = tsallis_distribution(losses, eta)
         assert abs(w.sum() - 1.0) <= 1e-10
         assert np.all(w > 0)
+
+
+@st.composite
+def _loss_batches(draw):
+    """(R, A) cumulative losses whose rows sit at scales from 1e-3 to 1e7 in
+    one batch, plus a learning rate and one loss increment per row."""
+    n_rows = draw(st.integers(1, 6))
+    n_arms = draw(st.integers(2, 12))
+    exponents = draw(st.lists(st.floats(-3.0, 7.0), min_size=n_rows, max_size=n_rows))
+    if n_rows > 1:
+        exponents[0], exponents[-1] = -3.0, 7.0
+    spreads = draw(st.lists(st.floats(0.0, 1.0), min_size=n_rows * n_arms,
+                            max_size=n_rows * n_arms))
+    losses = (10.0 ** np.array(exponents))[:, None] * (
+        1.0 + np.array(spreads).reshape(n_rows, n_arms))
+    eta = draw(st.floats(1e-3, 2.0))
+    bumps = draw(st.lists(st.floats(0.0, 1e3), min_size=n_rows, max_size=n_rows))
+    return losses, eta, np.array(bumps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_loss_batches())
+def test_tsallis_rows_batch_matches_solo_and_reference(batch):
+    losses, eta, bumps = batch
+    cold, starts = tsallis_rows(losses, eta)
+    # the next round: one arm's loss grows, the rate shrinks, warm start
+    nxt = losses.copy()
+    nxt[:, 0] += bumps
+    warm, _ = tsallis_rows(nxt, 0.99 * eta, start=starts)
+    for row in range(losses.shape[0]):
+        solo_cold, solo_start = tsallis_rows(losses[row:row + 1], eta)
+        assert np.array_equal(solo_cold[0], cold[row])
+        assert solo_start[0] == starts[row]
+        solo_warm, _ = tsallis_rows(nxt[row:row + 1], 0.99 * eta, start=solo_start)
+        assert np.array_equal(solo_warm[0], warm[row])
+        for got, cum, rate in ((cold[row], losses[row], eta),
+                               (warm[row], nxt[row], 0.99 * eta)):
+            ref = tsallis_distribution(cum, rate)
+            assert np.abs(got - ref / ref.sum()).max() <= 1e-12
+            assert abs(got.sum() - 1.0) <= 1e-12
+
+
+def test_tsallis_rows_raises_without_convergence():
+    with pytest.raises(RuntimeError, match="did not converge"):
+        tsallis_rows(np.array([[0.0, 1.0, 5.0]]), 0.5, max_iters=1)
 
 
 def test_tsallis_prefers_low_loss():
@@ -204,6 +252,43 @@ def test_exp2_span_solve_matches_pinv_reference(n_arms, subset_size, order):
             reference = learner.features @ pinv @ learner.features[rank] * 0.7
             fast = learner.estimate_rewards(rank, 0.7, p)
             assert np.abs(fast - reference).max() <= rtol * np.abs(reference).max()
+
+
+def test_exp2_design_matches_standalone_search():
+    # the span rank comes from the basis SVD; the design is unchanged
+    for n_arms, subset_size, order in ((5, 2, 2), (8, 3, 1), (6, 3, 3)):
+        learner = Exp2(n_arms, subset_size, order, horizon=1000)
+        alone = kw_optimal_design(learner.features, eps=0.05)
+        assert np.array_equal(learner.design.weights, alone.weights)
+        assert learner.design.iterations == alone.iterations
+        assert learner.span_basis.shape[1] == np.linalg.matrix_rank(learner.features)
+
+
+def test_batched_learners_match_solo_rows():
+    # R rows stepped together equal R learners stepped alone, bit for bit
+    rng = np.random.default_rng(9)
+    builders = {
+        "exp3": lambda reps: SubsetMab(5, 2, "exp3", mixing=0.1, replications=reps),
+        "tsallis_inf": lambda reps: SubsetMab(5, 2, "tsallis_inf", replications=reps),
+        "exp2": lambda reps: Exp2(5, 2, 2, horizon=200, replications=reps),
+    }
+    for name, build in builders.items():
+        batch = build(4)
+        solos = [build(1) for _ in range(4)]
+        for _ in range(200):
+            picks = rng.random(4)
+            ranks = batch.select_ranks(picks)
+            rewards = rng.integers(0, 2, size=4).astype(float)
+            for row, solo in enumerate(solos):
+                assert solo.select_ranks(picks[row:row + 1])[0] == ranks[row], name
+                solo.update_ranks(ranks[row:row + 1], rewards[row:row + 1])
+            batch.update_ranks(ranks, rewards)
+        state = batch.losses if name != "exp2" else batch.estimates
+        for row, solo in enumerate(solos):
+            solo_state = solo.losses if name != "exp2" else solo.estimates
+            assert np.array_equal(state[row], solo_state[0]), name
+        with pytest.raises(ValueError):
+            batch.select(rng)
 
 
 def test_exp2_zero_rewards_stay_uniform(rng):
