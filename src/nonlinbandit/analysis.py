@@ -33,7 +33,8 @@ def bernoulli_kl(p: float, q: float) -> float:
     """KL divergence between Bernoulli(p) and Bernoulli(q); +inf on mass mismatch."""
     if not (0 <= p <= 1 and 0 <= q <= 1):
         raise ValueError("Bernoulli parameters must lie in [0, 1]")
-    return _kl_term(p, q) + _kl_term(1 - p, 1 - q)
+    # KL >= 0 exactly; the two log terms can cancel to a rounding-sized negative.
+    return max(0.0, _kl_term(p, q) + _kl_term(1 - p, 1 - q))
 
 
 def categorical_kl(p, q) -> float:
@@ -46,7 +47,7 @@ def categorical_kl(p, q) -> float:
         raise ValueError("probabilities must be nonnegative")
     if abs(p.sum() - 1) > 1e-9 or abs(q.sum() - 1) > 1e-9:
         raise ValueError("probabilities must sum to 1")
-    return float(sum(_kl_term(float(a), float(b)) for a, b in zip(p, q)))
+    return max(0.0, float(sum(_kl_term(float(a), float(b)) for a, b in zip(p, q))))
 
 
 def tv_distance(p, q) -> float:

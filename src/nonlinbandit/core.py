@@ -175,12 +175,19 @@ def unrank_subset(rank: int, n_arms: int, subset_size: int) -> tuple[int, ...]:
         raise ValueError(f"rank {rank} outside [0, {total})")
     out = []
     rem = rank
+    hi = n_arms  # C(hi, j) > rem: an exclusive bound on the next index
     for j in range(subset_size, 0, -1):
+        # bisect for the largest c with C(c, j) <= rem; C(j - 1, j) = 0
         c = j - 1
-        while math.comb(c + 1, j) <= rem:
-            c += 1
+        while hi - c > 1:
+            mid = (c + hi) // 2
+            if math.comb(mid, j) <= rem:
+                c = mid
+            else:
+                hi = mid
         out.append(c)
         rem -= math.comb(c, j)
+        hi = c
     return tuple(reversed(out))
 
 

@@ -15,10 +15,11 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .core import LinkFunction
+from .core import LinkFunction, all_subsets, subset_sums
 
 DEFAULT_X0_CANDIDATES = tuple(round(0.05 * k, 2) for k in range(1, 20))
 DEFAULT_EQ_TOL = 1e-8
@@ -328,17 +329,38 @@ def _symmetrized_columns(link, tuples, x0, b):
     """Symmetrized moment value of every sorted tuple at every depth 1..m.
 
     Returns an (m, n_tuples) array; row ``level-1`` holds the depth-``level``
-    subset-averaged link values.
+    subset-averaged link values.  Each depth takes one link call on the
+    (n_tuples, C(m, level)) table of sub-tuple sums, added left to right;
+    the columns are then accumulated in subset enumeration order.
     """
     n, m = tuples.shape
     cols = np.zeros((m, n))
     for level in range(1, m + 1):
         shift = (b - level) * x0
+        linked = link(subset_sums(tuples, all_subsets(m, level)[0]) + shift)
         acc = np.zeros(n)
-        for combo in itertools.combinations(range(m), level):
-            acc += link(tuples[:, list(combo)].sum(axis=1) + shift)
+        for j in range(linked.shape[1]):
+            acc += linked[:, j]
         cols[level - 1] = acc / math.comb(m, level)
     return cols
+
+
+@lru_cache(maxsize=16)
+def _sorted_tuples(n_values: int, m: int) -> np.ndarray:
+    """Read-only (C(n_values + m - 1, m), m) table of the sorted index tuples
+    over ``range(n_values)``, in ``itertools.combinations_with_replacement``
+    order.
+
+    Stars and bars: subtracting (0, 1, ..., m-1) from the rows of the cached
+    size-m subsets of ``n_values + m - 1`` items maps them one to one, in
+    order, onto the sorted tuples with repetition.  The table is kept in the
+    smallest unsigned dtype that holds ``n_values - 1`` (uint8 on every grid
+    the search accepts), an eighth of the int64 enumeration it comes from.
+    """
+    table = (all_subsets(n_values + m - 1, m)[0] - np.arange(m)).astype(
+        np.min_scalar_type(n_values - 1))
+    table.setflags(write=False)
+    return table
 
 
 def _grid_values(grid_step: float, x0: float) -> np.ndarray:
@@ -351,20 +373,27 @@ def _grid_values(grid_step: float, x0: float) -> np.ndarray:
     return np.unique(np.append(grid, x0))
 
 
-def _solve_for_x0(link, m, b, grid_step, x0):
+def _x0_problem(link, m, b, grid_step, x0):
+    """The LP of one base level ``x0``: maximize the depth-m moment over
+    weights on the sorted grid tuples, with the depths 1..m-1 pinned to
+    ``g(b * x0)`` and the weights summing to 1.
+
+    Returns (tuple values, symmetrized columns, target, problem).
+    """
     grid = _grid_values(grid_step, x0)
-    tuples = np.array(
-        list(itertools.combinations_with_replacement(range(grid.size), m)),
-        dtype=np.int64,
-    )
-    values = grid[tuples]
+    values = grid[_sorted_tuples(grid.size, m)]
     cols = _symmetrized_columns(link, values, x0, b)
     target = float(link(b * x0))
     n = values.shape[0]
     rows = [cols[level - 1] for level in range(1, m)] + [np.ones(n)]
     rhs = np.array([target] * (m - 1) + [1.0])
     problem = LpProblem(objective=cols[m - 1], eq_matrix=np.vstack(rows), eq_rhs=rhs)
-    weights, objective = solve_lp(problem)
+    return values, cols, target, problem
+
+
+def _solve_for_x0(link, m, b, grid_step, x0):
+    values, cols, target, problem = _x0_problem(link, m, b, grid_step, x0)
+    weights, _ = solve_lp(problem)
     keep = weights > 1e-14
     support = values[keep]
     kept = weights[keep]

@@ -16,7 +16,9 @@ round draws exactly one uniform from the learner's stream.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -240,7 +242,7 @@ def _span_rank(svals: np.ndarray) -> int:
     return int(np.sum(svals > 1e-10 * svals[0])) if svals.size else 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignWeights:
     """Exploration design over actions with its leverage certificate."""
 
@@ -288,6 +290,36 @@ def kw_optimal_design(features, eps: float = 0.05, max_iters: int = 10_000,
     return DesignWeights(pi, leverage_max, iteration, False)
 
 
+@lru_cache(maxsize=16)
+def _feature_span(n_arms: int, subset_size: int, order: int):
+    """Read-only order-``order`` tensor feature table of all size-K subsets in
+    rank order and an orthonormal basis of its column span (thin SVD), whose
+    width is the span rank.  Callers gate the table size against their cap
+    first."""
+    features = np.stack([
+        tensor_features(SubsetAction.from_rank(r, n_arms, subset_size),
+                        n_arms, order, cap=n_arms ** order)
+        for r in range(n_subsets(n_arms, subset_size))
+    ])
+    left, svals, _ = np.linalg.svd(features, full_matrices=False)
+    basis = left[:, :_span_rank(svals)]
+    features.setflags(write=False)
+    basis.setflags(write=False)
+    return features, basis
+
+
+@lru_cache(maxsize=16)
+def _exp2_design(n_arms: int, subset_size: int, order: int, eps: float,
+                max_iters: int) -> DesignWeights:
+    """The KW design of the order-``order`` tensor features, built once per
+    key; its weights are read-only, so every learner of the key shares them."""
+    features, basis = _feature_span(n_arms, subset_size, order)
+    design = kw_optimal_design(features, eps=eps, max_iters=max_iters,
+                               rank=basis.shape[1])
+    design.weights.setflags(write=False)
+    return design
+
+
 # ---------------------------------------------------------------------------
 # Tensorized linear play
 # ---------------------------------------------------------------------------
@@ -312,7 +344,10 @@ class Exp2(_Batched):
     round and replication replaces the N^d x N^d pseudo-inverse: O(A r^2) to
     form U'PU plus the solve, with r = 8 at d=1, N=8 and r = 21 at d=2, N=7;
     a batch stacks the R systems into one (R, r, r) solve.  The same SVD
-    gives the span rank the design search needs.  ``second_moment_pinv``
+    gives the span rank the design search needs.  The feature table, its
+    span basis and the design are built once per key and shared read-only
+    by every learner of that key; an uncertified design emits a
+    ``RuntimeWarning`` at construction.  ``second_moment_pinv``
     stays as the reference path the tests compare against.  The features
     are still the N^d tensor columns; the smaller table of sub-subset
     indicators 1[T subset of S], |T| <= d, which spans the same space, is not
@@ -335,16 +370,15 @@ class Exp2(_Batched):
         self.order = order
         self.n_actions = count
         self.dim = dim
-        self.features = np.stack([
-            tensor_features(SubsetAction.from_rank(r, n_arms, subset_size),
-                            n_arms, order, cap=cap)
-            for r in range(count)
-        ])
-        left, svals, _ = np.linalg.svd(self.features, full_matrices=False)
-        rank = _span_rank(svals)
-        self.design = kw_optimal_design(self.features, eps=design_eps,
-                                        max_iters=design_max_iters, rank=rank)
-        self.span_basis = left[:, :rank]
+        self.features, self.span_basis = _feature_span(n_arms, subset_size, order)
+        self.design = _exp2_design(n_arms, subset_size, order, float(design_eps),
+                                   int(design_max_iters))
+        if not self.design.certified:
+            warnings.warn(
+                f"KW design not certified: max leverage {self.design.max_leverage:.6g} "
+                f"exceeds (1 + {design_eps}) x span rank {self.span_basis.shape[1]} "
+                f"after {self.design.iterations} iterations",
+                RuntimeWarning, stacklevel=2)
         if gamma_mix is None:
             gamma_mix = min(0.5, math.sqrt(dim * math.log(max(count, 2)) / horizon))
         if eta is None:

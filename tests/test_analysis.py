@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonlinbandit import (
@@ -57,9 +57,16 @@ def test_mnl_mixture_laws_indistinguishable(mnl_hard_m2):
 
 
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+@example(0.01, 0.010000000000000002)
 @settings(max_examples=200, deadline=None)
 def test_pinsker_bernoulli(p, q):
     assert tv_distance(p, q) <= math.sqrt(bernoulli_kl(p, q) / 2) + 1e-12
+
+
+def test_kl_nonnegative_under_rounding():
+    # Near-equal arguments make the log terms cancel to a rounding-sized value.
+    assert bernoulli_kl(0.01, 0.010000000000000002) >= 0.0
+    assert categorical_kl([0.01, 0.99], [0.010000000000000002, 0.99 - 2e-18]) >= 0.0
 
 
 def test_pinsker_battery(rng):

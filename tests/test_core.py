@@ -22,6 +22,7 @@ from nonlinbandit import (
     tensor_features,
     unrank_subset,
 )
+from nonlinbandit.core import DEFAULT_ENUMERATION_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,41 @@ def test_rank_unrank_bijection(dims):
         assert rank_subset(idx, n, k) == rank
         seen.add(idx)
     assert len(seen) == total
+
+
+def _largest_n_under_cap(k):
+    lo, hi = k, DEFAULT_ENUMERATION_CAP + k  # C(lo, k) = 1 < cap <= C(hi, k)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.comb(mid, k) < DEFAULT_ENUMERATION_CAP:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def _near_cap_rank(draw):
+    k = draw(st.integers(1, 6))
+    n = _largest_n_under_cap(k)
+    return n, k, draw(st.integers(0, math.comb(n, k) - 1))
+
+
+@given(_near_cap_rank())
+@settings(max_examples=200, deadline=None)
+def test_rank_unrank_round_trip_near_cap(case):
+    """C(N, K) just under the enumeration cap; each example also checks the
+    first and last ranks."""
+    n, k, rank = case
+    total = math.comb(n, k)
+    assert total < DEFAULT_ENUMERATION_CAP <= math.comb(n + 1, k)
+    for r in (rank, 0, total - 1):
+        idx = unrank_subset(r, n, k)
+        assert len(idx) == k and list(idx) == sorted(set(idx))
+        assert 0 <= idx[0] and idx[-1] < n
+        assert rank_subset(idx, n, k) == r
+    assert unrank_subset(0, n, k) == tuple(range(k))
+    assert unrank_subset(total - 1, n, k) == tuple(range(n - k, n))
 
 
 def test_colex_order_matches_enumeration():

@@ -11,6 +11,7 @@ from nonlinbandit import (
     MnlLink,
     PolynomialLink,
     SimplexError,
+    TabulatedLink,
     comb_identity_residual,
     find_hard_instance,
     identity_battery,
@@ -18,6 +19,8 @@ from nonlinbandit import (
     symmetrized_link,
     verify_hard_instance,
 )
+from nonlinbandit import hardinstances
+from nonlinbandit.hardinstances import DEFAULT_X0_CANDIDATES
 
 
 class ExpLink(LinkFunction):
@@ -101,6 +104,32 @@ def test_lp_problem_validation():
         LpProblem(objective=[1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0])
     with pytest.raises(ValueError):
         LpProblem(objective=[np.inf, 1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0])
+
+
+@pytest.mark.parametrize("link_kind", ["mnl", "linear"])
+@pytest.mark.parametrize("m, q", [(2, 50), (3, 50), (4, 25)])
+def test_solve_lp_matches_highs_on_search_lps(link_kind, m, q):
+    """Every x0 LP of the criterion-2 search, against an independent solver.
+
+    HiGHS solves the dual, min b'y subject to A'y >= c with y free, whose
+    optimum equals the primal optimum by strong duality; on these few-row,
+    many-column LPs it runs about four times faster than the primal.  With
+    HiGHS's default 1e-7 feasibility tolerances the primal came out 3.7e-8
+    off at m = 4, so both are tightened.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    link = MnlLink() if link_kind == "mnl" else PolynomialLink([0.0, 0.3])
+    for x0 in DEFAULT_X0_CANDIDATES:
+        *_, problem = hardinstances._x0_problem(link, m, m, 1 / q, x0)
+        _, objective = solve_lp(problem)
+        dual = optimize.linprog(
+            problem.eq_rhs, A_ub=-problem.eq_matrix.T, b_ub=-problem.objective,
+            bounds=(None, None), method="highs",
+            options={"primal_feasibility_tolerance": 1e-10,
+                     "dual_feasibility_tolerance": 1e-10},
+        )
+        assert dual.status == 0, dual.message
+        assert objective == pytest.approx(dual.fun, abs=1e-9), f"x0={x0}"
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +274,54 @@ def test_find_hard_instance_validates():
         find_hard_instance(MnlLink(), m=2, b=2, grid_step=1 / 300)
     with pytest.raises(ValueError):
         find_hard_instance(MnlLink(), m=2, b=2, x0_candidates=[0.0])
+
+
+def _reference_tuples(n_values, m):
+    return np.array(
+        list(itertools.combinations_with_replacement(range(n_values), m)),
+        dtype=np.int64,
+    )
+
+
+def _reference_columns(link, tuples, x0, b):
+    """The slow column build: one link call per sub-tuple combination."""
+    n, m = tuples.shape
+    cols = np.zeros((m, n))
+    for level in range(1, m + 1):
+        shift = (b - level) * x0
+        acc = np.zeros(n)
+        for combo in itertools.combinations(range(m), level):
+            acc += link(tuples[:, list(combo)].sum(axis=1) + shift)
+        cols[level - 1] = acc / math.comb(m, level)
+    return cols
+
+
+@pytest.mark.parametrize("n_values, m", [(52, 2), (53, 3), (26, 4), (27, 4), (7, 1)])
+def test_sorted_tuple_table_is_itertools_order(n_values, m):
+    table = hardinstances._sorted_tuples(n_values, m)
+    assert np.array_equal(table, _reference_tuples(n_values, m))
+    assert not table.flags.writeable
+    assert hardinstances._sorted_tuples(n_values, m) is table
+
+
+_TABULATED = TabulatedLink(np.linspace(0.0, 3.0, 7),
+                           [0.0, 0.3, 0.5, 0.62, 0.7, 0.75, 0.78])
+
+
+@pytest.mark.parametrize("link, m, q", [
+    (MnlLink(), 2, 50),
+    (MnlLink(), 3, 50),
+    (MnlLink(), 4, 25),
+    (PolynomialLink([0.05, 0.1, 0.05]), 3, 50),
+    (_TABULATED, 3, 50),
+], ids=["mnl-m2", "mnl-m3", "mnl-m4", "poly-deg2-m3", "tabulated-m3"])
+def test_search_matches_slow_reference_build(monkeypatch, link, m, q):
+    fast = find_hard_instance(link, m=m, b=m, grid_step=1 / q).to_json_dict()
+    with monkeypatch.context() as patched:
+        patched.setattr(hardinstances, "_sorted_tuples", _reference_tuples)
+        patched.setattr(hardinstances, "_symmetrized_columns", _reference_columns)
+        slow = find_hard_instance(link, m=m, b=m, grid_step=1 / q).to_json_dict()
+    assert fast == slow
 
 
 # ---------------------------------------------------------------------------

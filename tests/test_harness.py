@@ -315,7 +315,7 @@ def test_exp2_requires_polynomial_link(mnl_hard_m2):
         run_experiment(config)
 
 
-def test_exp2_design_built_once_per_cell(monkeypatch):
+def _count_designs(monkeypatch):
     import nonlinbandit.learners as learners_mod
 
     calls = []
@@ -326,16 +326,33 @@ def test_exp2_design_built_once_per_cell(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(learners_mod, "kw_optimal_design", counting)
-    config = ExperimentConfig.from_dict({
-        "dims": {"N": 5, "K": 2, "T": 50, "d": 2},
-        "link": {"kind": "polynomial", "coefficients": [0.1, 0.2, 0.05]},
-        "adversary": {"kind": "stochastic", "v": [0.1, 0.5, 0.9, 0.3, 0.2]},
-        "algorithms": [{"name": "exp2", "params": {}}],
-        "replications": 4,
-        "base_seed": 0,
-    })
+    learners_mod._exp2_design.cache_clear()
+    return calls
+
+
+_EXP2_CONFIG = {
+    "dims": {"N": 5, "K": 2, "T": 50, "d": 2},
+    "link": {"kind": "polynomial", "coefficients": [0.1, 0.2, 0.05]},
+    "adversary": {"kind": "stochastic", "v": [0.1, 0.5, 0.9, 0.3, 0.2]},
+    "algorithms": [{"name": "exp2", "params": {}}],
+    "replications": 4,
+    "base_seed": 0,
+}
+
+
+def test_exp2_design_built_once_per_cell(monkeypatch):
+    calls = _count_designs(monkeypatch)
+    config = ExperimentConfig.from_dict(_EXP2_CONFIG)
     assert all(r.error is None for r in run_experiment(config))
-    assert len(calls) == 2  # the up-front validation build and the one batch
+    assert len(calls) == 1  # the validation build and the batch share one design
+
+
+def test_exp2_design_built_once_per_sweep(monkeypatch):
+    calls = _count_designs(monkeypatch)
+    config = ExperimentConfig.from_dict({**_EXP2_CONFIG, "t_grid": [50, 100]})
+    rows = run_sweep(config)
+    assert [row["T"] for row in rows] == [50, 100]
+    assert len(calls) == 1  # two horizons, each validated and run, one design
 
 
 def test_stochastic_exp2_through_harness(tmp_path):

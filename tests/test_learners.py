@@ -264,6 +264,38 @@ def test_exp2_design_matches_standalone_search():
         assert learner.span_basis.shape[1] == np.linalg.matrix_rank(learner.features)
 
 
+def test_exp2_design_shared_read_only():
+    first = Exp2(5, 2, 2, horizon=100)
+    second = Exp2(5, 2, 2, horizon=1000, replications=3)
+    assert second.design is first.design
+    assert second.features is first.features
+    for arr in (first.design.weights, first.features, first.span_basis):
+        assert not arr.flags.writeable
+    assert Exp2(5, 2, 2, horizon=100, design_eps=0.1).design is not first.design
+
+
+def test_exp2_warns_on_uncertified_design(monkeypatch):
+    import nonlinbandit.learners as learners_mod
+
+    # Every leverage of the uniform start equals the span rank for the full
+    # family of size-K subsets (by symmetry), so a real search certifies at
+    # iteration 1; a certificate no design meets forces the uncertified path.
+    original = learners_mod.kw_optimal_design
+
+    def unmeetable(features, eps, max_iters, rank):
+        return original(features, eps=-1.0, max_iters=max_iters, rank=rank)
+
+    monkeypatch.setattr(learners_mod, "kw_optimal_design", unmeetable)
+    learners_mod._exp2_design.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning,
+                          match=r"not certified: max leverage 10 .* after 1 iterations"):
+            learner = Exp2(5, 2, 2, horizon=100, design_max_iters=1)
+        assert not learner.design.certified
+    finally:
+        learners_mod._exp2_design.cache_clear()
+
+
 def test_batched_learners_match_solo_rows():
     # R rows stepped together equal R learners stepped alone, bit for bit
     rng = np.random.default_rng(9)
