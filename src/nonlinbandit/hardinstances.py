@@ -19,7 +19,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LinkFunction, all_subsets, subset_sums
+from .core import (
+    DEFAULT_ENUMERATION_CAP,
+    CapExceededError,
+    LinkFunction,
+    all_subsets,
+    subset_sums,
+)
 
 DEFAULT_X0_CANDIDATES = tuple(round(0.05 * k, 2) for k in range(1, 20))
 DEFAULT_EQ_TOL = 1e-8
@@ -325,24 +331,46 @@ class HardInstance:
             return cls.from_json_dict(json.load(fh))
 
 
-def _symmetrized_columns(link, tuples, x0, b):
-    """Symmetrized moment value of every sorted tuple at every depth 1..m.
+def _symmetrized_columns(link, grid, m, x0, b):
+    """Symmetrized moment value of every sorted ``m``-tuple of ``grid`` points
+    (the rows of ``_sorted_tuples(grid.size, m)``) at every depth 1..m.
 
     Returns an (m, n_tuples) array; row ``level-1`` holds the depth-``level``
-    subset-averaged link values.  Each depth takes one link call on the
-    (n_tuples, C(m, level)) table of sub-tuple sums, added left to right;
-    the columns are then accumulated in subset enumeration order.
+    subset-averaged link values.  A depth-``level`` sub-tuple sum depends only
+    on which grid points the sub-tuple holds, so each depth below m takes one
+    link call on the C(G + level - 1, level) sums over the sorted
+    ``level``-tuples of the G grid points, stored by colexicographic rank, and
+    accumulates its column, in subset enumeration order, from gathers at the
+    cached ranks of the sub-tuples (:func:`_sub_tuple_ranks`).  Depth m takes
+    one link call on the per-tuple sums.  Every sum is added left to right,
+    so each entry carries the same bits as a per-combination build.
     """
-    n, m = tuples.shape
+    tuples = _sorted_tuples(grid.size, m)
+    n = tuples.shape[0]
     cols = np.zeros((m, n))
-    for level in range(1, m + 1):
-        shift = (b - level) * x0
-        linked = link(subset_sums(tuples, all_subsets(m, level)[0]) + shift)
+    for level in range(1, m):
+        combos, ranks = all_subsets(grid.size + level - 1, level)
+        table = np.empty(ranks.size)
+        table[ranks] = link(subset_sums(grid, combos - np.arange(level))
+                            + (b - level) * x0)
         acc = np.zeros(n)
-        for j in range(linked.shape[1]):
-            acc += linked[:, j]
+        for sub_ranks in _sub_tuple_ranks(grid.size, m, level):
+            acc += np.take(table, sub_ranks)
         cols[level - 1] = acc / math.comb(m, level)
+    cols[m - 1] += link(_take_sum([grid] * m, tuples, range(m)) + (b - m) * x0)
     return cols
+
+
+def _take_sum(tables, tuples, combo):
+    """``tables[j][tuples[:, combo[j]]]`` summed over j, added left to right.
+
+    ``np.take`` gathers through the uint8 index columns about three times
+    faster than fancy indexing, which first converts them.
+    """
+    total = np.take(tables[0], tuples[:, combo[0]])
+    for table, column in zip(tables[1:], combo[1:]):
+        total += np.take(table, tuples[:, column])
+    return total
 
 
 @lru_cache(maxsize=16)
@@ -351,14 +379,41 @@ def _sorted_tuples(n_values: int, m: int) -> np.ndarray:
     over ``range(n_values)``, in ``itertools.combinations_with_replacement``
     order.
 
-    Stars and bars: subtracting (0, 1, ..., m-1) from the rows of the cached
-    size-m subsets of ``n_values + m - 1`` items maps them one to one, in
-    order, onto the sorted tuples with repetition.  The table is kept in the
-    smallest unsigned dtype that holds ``n_values - 1`` (uint8 on every grid
-    the search accepts), an eighth of the int64 enumeration it comes from.
+    The table is kept in the smallest unsigned dtype that holds
+    ``n_values - 1`` (uint8 on every grid the search accepts) and filled
+    straight from the iterator, so no int64 copy is built or cached.
     """
-    table = (all_subsets(n_values + m - 1, m)[0] - np.arange(m)).astype(
-        np.min_scalar_type(n_values - 1))
+    count = math.comb(n_values + m - 1, m)
+    flat = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(n_values), m))
+    table = np.fromiter(flat, dtype=np.min_scalar_type(n_values - 1),
+                        count=count * m).reshape(count, m)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=16)
+def _sub_tuple_ranks(n_values: int, m: int, level: int) -> np.ndarray:
+    """Read-only (C(m, level), n_tuples) table of sub-tuple ranks.
+
+    Row k holds, for every row of ``_sorted_tuples(n_values, m)``, the
+    colexicographic rank among the sorted ``level``-tuples over
+    ``range(n_values)`` of its sub-tuple at the positions
+    ``all_subsets(m, level)[0][k]``.  By stars and bars the sorted tuple
+    a_0 <= ... <= a_{level-1} is the subset {a_j + j} of
+    ``range(n_values + level - 1)``, whose rank is sum_j C(a_j + j, j + 1),
+    as in :func:`core.all_subsets`.  Kept in the smallest unsigned dtype that
+    holds the ranks: uint8 at level 1, uint16 at m = 3 on the 1/50 grid and
+    at m = 4 on the 1/25 grid.
+    """
+    tuples = _sorted_tuples(n_values, m)
+    terms = [np.array([math.comb(a + j, j + 1) for a in range(n_values)])
+             for j in range(level)]
+    combos = all_subsets(m, level)[0]
+    dtype = np.min_scalar_type(math.comb(n_values + level - 1, level) - 1)
+    table = np.empty((combos.shape[0], tuples.shape[0]), dtype=dtype)
+    for row, combo in zip(table, combos):
+        row[:] = _take_sum(terms, tuples, combo)
     table.setflags(write=False)
     return table
 
@@ -378,24 +433,24 @@ def _x0_problem(link, m, b, grid_step, x0):
     weights on the sorted grid tuples, with the depths 1..m-1 pinned to
     ``g(b * x0)`` and the weights summing to 1.
 
-    Returns (tuple values, symmetrized columns, target, problem).
+    Returns (grid, sorted index tuples, symmetrized columns, target, problem).
     """
     grid = _grid_values(grid_step, x0)
-    values = grid[_sorted_tuples(grid.size, m)]
-    cols = _symmetrized_columns(link, values, x0, b)
+    tuples = _sorted_tuples(grid.size, m)
+    cols = _symmetrized_columns(link, grid, m, x0, b)
     target = float(link(b * x0))
-    n = values.shape[0]
+    n = tuples.shape[0]
     rows = [cols[level - 1] for level in range(1, m)] + [np.ones(n)]
     rhs = np.array([target] * (m - 1) + [1.0])
     problem = LpProblem(objective=cols[m - 1], eq_matrix=np.vstack(rows), eq_rhs=rhs)
-    return values, cols, target, problem
+    return grid, tuples, cols, target, problem
 
 
 def _solve_for_x0(link, m, b, grid_step, x0):
-    values, cols, target, problem = _x0_problem(link, m, b, grid_step, x0)
+    grid, tuples, cols, target, problem = _x0_problem(link, m, b, grid_step, x0)
     weights, _ = solve_lp(problem)
     keep = weights > 1e-14
-    support = values[keep]
+    support = grid[tuples[keep]]
     kept = weights[keep]
     kept = kept / kept.sum()
     residuals = np.array([
@@ -415,16 +470,28 @@ def find_hard_instance(link: LinkFunction, m: int, b: int, grid_step: float = 0.
     moment; the candidate with the largest resulting ``gamma`` wins.  The
     diagonal point mass is always feasible, so the search cannot fail; a
     polynomial link of degree below m yields ``gamma`` at float-noise level.
+
+    Raises :class:`CapExceededError`, before any tuple is enumerated, when a
+    candidate's grid of G points has more than ``DEFAULT_ENUMERATION_CAP``
+    sorted m-tuples, C(G + m - 1, m).
     """
     if m < 1 or b < m:
         raise ValueError("need m >= 1 and b >= m")
     if x0_candidates is None:
         x0_candidates = DEFAULT_X0_CANDIDATES
-    best = None
+    x0_candidates = [float(x0) for x0 in x0_candidates]
     for x0 in x0_candidates:
         if not 0 < x0 < 1:
             raise ValueError("x0 candidates must lie in (0, 1)")
-        inst = _solve_for_x0(link, m, b, grid_step, float(x0))
+        n_values = _grid_values(grid_step, x0).size
+        count = math.comb(n_values + m - 1, m)
+        if count > DEFAULT_ENUMERATION_CAP:
+            raise CapExceededError(
+                f"C({n_values + m - 1},{m})={count} sorted grid tuples exceed "
+                f"cap {DEFAULT_ENUMERATION_CAP}")
+    best = None
+    for x0 in x0_candidates:
+        inst = _solve_for_x0(link, m, b, grid_step, x0)
         if best is None or inst.gamma > best.gamma:
             best = inst
     return best

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nonlinbandit import (
+    CapExceededError,
     HardInstance,
     LinkFunction,
     LpProblem,
@@ -20,6 +21,7 @@ from nonlinbandit import (
     verify_hard_instance,
 )
 from nonlinbandit import hardinstances
+from nonlinbandit.core import all_subsets, subsets_by_rank
 from nonlinbandit.hardinstances import DEFAULT_X0_CANDIDATES
 
 
@@ -304,8 +306,77 @@ def test_sorted_tuple_table_is_itertools_order(n_values, m):
     assert hardinstances._sorted_tuples(n_values, m) is table
 
 
-_TABULATED = TabulatedLink(np.linspace(0.0, 3.0, 7),
-                           [0.0, 0.3, 0.5, 0.62, 0.7, 0.75, 0.78])
+# Knots every 0.5 on [0, 4], so that depth-4 sums with b = m = 4 stay inside
+# the domain.
+_TABULATED = TabulatedLink(np.linspace(0.0, 4.0, 9),
+                           [0.0, 0.3, 0.5, 0.62, 0.7, 0.75, 0.78, 0.8, 0.81])
+
+# Degree m - 1 for m = 1..4, each increasing and inside [0, 1] on [0, m].
+_LOW_DEGREE = {
+    1: PolynomialLink([0.4]),
+    2: PolynomialLink([0.05, 0.2]),
+    3: PolynomialLink([0.05, 0.1, 0.05]),
+    4: PolynomialLink([0.05, 0.2, -0.02, 0.001]),
+}
+
+
+@pytest.mark.parametrize("q, x0, n_values", [(4, 0.5, 5), (4, 0.35, 6), (5, 0.4, 6)],
+                         ids=["on-grid-G5", "off-grid-G6", "on-grid-G6"])
+@pytest.mark.parametrize("kind", ["mnl", "poly", "tabulated"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_symmetrized_columns_match_per_combination_build(m, kind, q, x0, n_values):
+    link = {"mnl": MnlLink(), "poly": _LOW_DEGREE[m], "tabulated": _TABULATED}[kind]
+    grid = hardinstances._grid_values(1 / q, x0)
+    assert grid.size == n_values
+    fast = hardinstances._symmetrized_columns(link, grid, m, x0, m)
+    slow = _reference_columns(link, grid[_reference_tuples(grid.size, m)], x0, m)
+    assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("n_values, m", [(5, 4), (6, 3), (27, 4)])
+def test_sub_tuple_ranks_index_the_level_enumeration(n_values, m):
+    tuples = hardinstances._sorted_tuples(n_values, m)
+    for level in range(1, m):
+        ranks = hardinstances._sub_tuple_ranks(n_values, m, level)
+        assert not ranks.flags.writeable
+        assert hardinstances._sub_tuple_ranks(n_values, m, level) is ranks
+        by_rank = subsets_by_rank(n_values + level - 1, level) - np.arange(level)
+        for sub_ranks, combo in zip(ranks, all_subsets(m, level)[0]):
+            assert np.array_equal(by_rank[sub_ranks], tuples[:, combo])
+
+
+class _CountingLink(LinkFunction):
+    """Wraps a link and counts the values it is evaluated at."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.values = 0
+
+    def _eval(self, x):
+        self.values += x.size
+        return self.inner._eval(x)
+
+    def _eval_scalar(self, x):
+        self.values += 1
+        return self.inner._eval_scalar(x)
+
+
+def test_x0_problem_evaluates_each_distinct_sum_once():
+    m, q, x0 = 4, 25, 0.35
+    link = _CountingLink(MnlLink())
+    hardinstances._x0_problem(link, m, m, 1 / q, x0)
+    n_values = q + 2  # x0 is off the grid
+    n = math.comb(n_values + m - 1, m)
+    assert link.values <= sum(n_values ** level for level in range(1, m)) + n
+    # One value per sorted sub-tuple of grid points (31 464), plus the target
+    # g(b * x0); a per-combination build evaluates n * C(m, level) values per
+    # depth, 411 075 in all.
+    assert link.values == sum(math.comb(n_values + level - 1, level)
+                              for level in range(1, m + 1)) + 1
+
+
+def _reference_search_columns(link, grid, m, x0, b):
+    return _reference_columns(link, grid[_reference_tuples(grid.size, m)], x0, b)
 
 
 @pytest.mark.parametrize("link, m, q", [
@@ -313,15 +384,34 @@ _TABULATED = TabulatedLink(np.linspace(0.0, 3.0, 7),
     (MnlLink(), 3, 50),
     (MnlLink(), 4, 25),
     (PolynomialLink([0.05, 0.1, 0.05]), 3, 50),
+    (_LOW_DEGREE[4], 4, 25),
     (_TABULATED, 3, 50),
-], ids=["mnl-m2", "mnl-m3", "mnl-m4", "poly-deg2-m3", "tabulated-m3"])
+    (_TABULATED, 4, 25),
+], ids=["mnl-m2", "mnl-m3", "mnl-m4", "poly-deg2-m3", "poly-deg3-m4",
+        "tabulated-m3", "tabulated-m4"])
 def test_search_matches_slow_reference_build(monkeypatch, link, m, q):
     fast = find_hard_instance(link, m=m, b=m, grid_step=1 / q).to_json_dict()
     with monkeypatch.context() as patched:
         patched.setattr(hardinstances, "_sorted_tuples", _reference_tuples)
-        patched.setattr(hardinstances, "_symmetrized_columns", _reference_columns)
+        patched.setattr(hardinstances, "_symmetrized_columns", _reference_search_columns)
         slow = find_hard_instance(link, m=m, b=m, grid_step=1 / q).to_json_dict()
     assert fast == slow
+
+
+def _no_enumeration(*args):
+    raise AssertionError("the sorted-tuple table was enumerated past the cap")
+
+
+@pytest.mark.parametrize("m, q, x0_candidates", [
+    (4, 200, None),          # C(205, 4) = 71 452 955 tuples
+    (6, 50, None),           # C(57, 6) = 36 288 252 tuples
+    (4, 121, [50 / 121, 0.5]),  # C(125, 4) on the grid, C(126, 4) = 10 009 125 off it
+])
+def test_find_hard_instance_caps_enumeration(monkeypatch, m, q, x0_candidates):
+    monkeypatch.setattr(hardinstances, "_sorted_tuples", _no_enumeration)
+    with pytest.raises(CapExceededError, match="exceed cap"):
+        find_hard_instance(MnlLink(), m=m, b=m, grid_step=1 / q,
+                           x0_candidates=x0_candidates)
 
 
 # ---------------------------------------------------------------------------

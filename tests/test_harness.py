@@ -399,6 +399,23 @@ def test_cli_find_hard_explicit_x0(tmp_path, capsys):
     assert HardInstance.load(inst_path).x0 == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("m, q", [(4, 200), (6, 50)])
+def test_cli_find_hard_exits_two_past_the_enumeration_cap(tmp_path, monkeypatch, capsys,
+                                                          m, q):
+    from nonlinbandit import hardinstances
+
+    def no_enumeration(*args):
+        raise AssertionError("the sorted-tuple table was enumerated past the cap")
+
+    monkeypatch.setattr(hardinstances, "_sorted_tuples", no_enumeration)
+    inst_path = tmp_path / "inst.json"
+    code = main(["find-hard", "--g", "mnl", "--m", str(m), "--b", str(m),
+                 "--grid", str(q), "--out", str(inst_path)])
+    assert code == 2
+    assert "exceed cap" in capsys.readouterr().err
+    assert not inst_path.exists()
+
+
 def test_cli_verify_flags_invalid(tmp_path, capsys):
     inst_path = tmp_path / "point.json"
     inst_path.write_text(json.dumps({
