@@ -53,7 +53,9 @@ from .learners import ConstantPolicy, Exp2, SubsetMab
 
 HARD_KINDS = ("hard_nonpoly", "hard_poly", "mnl_hard")
 ADVERSARY_KINDS = HARD_KINDS + ("mnl_general", "oblivious", "stochastic")
-ALGORITHM_NAMES = ("exp3", "tsallis_inf", "exp2", "constant")
+# The ``params`` keys each algorithm accepts; any other key is an error.
+ALGORITHM_PARAMS = {"exp3": ("mixing",), "tsallis_inf": ("mixing",),
+                    "exp2": ("eta", "gamma_mix"), "constant": ("subset",)}
 
 RUN_CSV_HEADER = "run_id,seed,t,subset_rank,reward,inst_regret,cum_regret"
 SWEEP_CSV_HEADER = "algo,N,K,T,reps,mean_regret,stderr"
@@ -83,7 +85,7 @@ class ExperimentConfig:
         if not self.algorithm_specs:
             raise ValueError("need at least one algorithm")
         for spec in self.algorithm_specs:
-            if spec.get("name") not in ALGORITHM_NAMES:
+            if spec.get("name") not in ALGORITHM_PARAMS:
                 raise ValueError(f"unknown algorithm {spec.get('name')!r}")
         if self.adversary_spec.get("kind") not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {self.adversary_spec.get('kind')!r}")
@@ -217,6 +219,13 @@ def build_learner(spec: dict, dims: ProblemDims, horizon: int, link: LinkFunctio
     """Instantiate the learner with the state of ``replications`` rows."""
     name = spec.get("name")
     params = spec.get("params", {})
+    if name not in ALGORITHM_PARAMS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    accepted = ALGORITHM_PARAMS[name]
+    unknown = [key for key in params if key not in accepted]
+    if unknown:
+        raise ValueError(f"{name} does not take params {unknown}; "
+                         f"accepted: {list(accepted)}")
     if name in ("exp3", "tsallis_inf"):
         return SubsetMab(dims.n_arms, dims.subset_size, algorithm=name,
                          mixing=float(params.get("mixing", 0.0)),
@@ -228,12 +237,9 @@ def build_learner(spec: dict, dims: ProblemDims, horizon: int, link: LinkFunctio
             raise ValueError("exp2 requires a polynomial link of degree <= dims.d")
         return Exp2(dims.n_arms, dims.subset_size, dims.degree, horizon,
                     eta=params.get("eta"), gamma_mix=params.get("gamma_mix"),
-                    design_eps=float(params.get("design_eps", 0.05)),
                     replications=replications)
-    if name == "constant":
-        return ConstantPolicy(SubsetAction.from_indices(params["subset"], dims.n_arms),
-                              replications=replications)
-    raise ValueError(f"unknown algorithm {name!r}")
+    return ConstantPolicy(SubsetAction.from_indices(params["subset"], dims.n_arms),
+                          replications=replications)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Bandit learners: exponential-weights families over subset arms and
-tensor-featured linear play with design-based exploration.
+tensor-featured linear play with uniform exploration.
 
 All learners are loss minimizers with the convention loss = 1 - reward; the
 tensorized learner keeps cumulative reward estimates internally, which is
@@ -16,7 +16,6 @@ round draws exactly one uniform from the learner's stream.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,9 +34,16 @@ from .core import (
 
 def _sample_ranks(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per row: the number of cumulative probabilities at or
-    below the row's uniform (``searchsorted(..., side="right")``)."""
+    below the row's uniform (``searchsorted(..., side="right")``).  The
+    row's total is raised to 1, and with it every entry equal to the total
+    when the last rank has probability zero: the slack of a total rounded
+    below 1 goes to the last rank of positive probability, never to a
+    trailing rank of probability zero."""
     cum = np.add.accumulate(probs, axis=1)
-    cum[:, -1] = 1.0
+    if probs[:, -1].all():
+        cum[:, -1] = 1.0
+    else:
+        cum[cum >= cum[:, -1:]] = 1.0
     return (cum <= uniforms[:, None]).sum(axis=1)
 
 
@@ -252,24 +258,23 @@ class DesignWeights:
     certified: bool
 
 
-def kw_optimal_design(features, eps: float = 0.05, max_iters: int = 10_000,
-                      rank: int | None = None) -> DesignWeights:
+def kw_optimal_design(features, eps: float = 0.05,
+                      max_iters: int = 10_000) -> DesignWeights:
     """Log-determinant-optimal design by Frank-Wolfe mass additions.
 
     Each step moves mass onto the action with the largest leverage score
     x' M(pi)^+ x using the exact line-search step; stops once the maximum
-    leverage is within (1 + eps) of the feature-span rank, which is the
+    leverage is within (1 + eps) of the feature-span rank (counted from the
+    singular values above 1e-10 of the largest), which is the
     equivalence-theorem optimum.  Exhausting ``max_iters`` returns the best
-    design found, flagged as not certified.  ``rank`` is the feature-span
-    rank when the caller already has it; otherwise it is counted from the
-    singular values above 1e-10 of the largest.
+    design found, flagged as not certified.  EXP2 does not call it: for the
+    full family of size-K subsets the uniform start is already optimal.
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     n_actions, dim = x.shape
     if n_actions < 1:
         raise ValueError("need at least one feature")
-    if rank is None:
-        rank = _span_rank(np.linalg.svd(x, compute_uv=False))
+    rank = _span_rank(np.linalg.svd(x, compute_uv=False))
     if rank == 0:
         raise ValueError("features are all zero")
     pi = np.full(n_actions, 1.0 / n_actions)
@@ -308,18 +313,6 @@ def _feature_span(n_arms: int, subset_size: int, order: int):
     return features, basis
 
 
-@lru_cache(maxsize=16)
-def _exp2_design(n_arms: int, subset_size: int, order: int, eps: float,
-                max_iters: int) -> DesignWeights:
-    """The KW design of the order-``order`` tensor features, built once per
-    key; its weights are read-only, so every learner of the key shares them."""
-    features, basis = _feature_span(n_arms, subset_size, order)
-    design = kw_optimal_design(features, eps=eps, max_iters=max_iters,
-                               rank=basis.shape[1])
-    design.weights.setflags(write=False)
-    return design
-
-
 # ---------------------------------------------------------------------------
 # Tensorized linear play
 # ---------------------------------------------------------------------------
@@ -327,9 +320,12 @@ def _exp2_design(n_arms: int, subset_size: int, order: int, eps: float,
 class Exp2(_Batched):
     """Exponential weights over tensor-featured subset actions.
 
-    Sampling mixes the weight distribution with a fixed design ``pi``:
-    p = (1 - gamma_mix) q + gamma_mix pi.  Updates form the least-squares
-    estimate M(p)^+ x_S r of the lifted reward vector, with
+    Sampling mixes the weight distribution with the uniform design:
+    p = (1 - gamma_mix) q + gamma_mix / A.  For the full family of size-K
+    subsets the uniform design is G-optimal: the problem is symmetric under
+    arm permutations, so every action's leverage under it equals the span
+    rank (the Kiefer-Wolfowitz optimum), as in ComBand.  Updates form the
+    least-squares estimate M(p)^+ x_S r of the lifted reward vector, with
     M(p) = F' diag(p) F, and add the estimated rewards of all actions
     F M(p)^+ x_S r, scaled by ``eta``, to the log-weights.
 
@@ -343,11 +339,9 @@ class Exp2(_Batched):
     (``gamma_mix`` > 0 keeps every p_a positive), so one r x r solve per
     round and replication replaces the N^d x N^d pseudo-inverse: O(A r^2) to
     form U'PU plus the solve, with r = 8 at d=1, N=8 and r = 21 at d=2, N=7;
-    a batch stacks the R systems into one (R, r, r) solve.  The same SVD
-    gives the span rank the design search needs.  The feature table, its
-    span basis and the design are built once per key and shared read-only
-    by every learner of that key; an uncertified design emits a
-    ``RuntimeWarning`` at construction.  ``second_moment_pinv``
+    a batch stacks the R systems into one (R, r, r) solve.  The feature
+    table and its span basis are built once per key and shared read-only by
+    every learner of that key.  ``second_moment_pinv``
     stays as the reference path the tests compare against.  The features
     are still the N^d tensor columns; the smaller table of sub-subset
     indicators 1[T subset of S], |T| <= d, which spans the same space, is not
@@ -357,7 +351,6 @@ class Exp2(_Batched):
 
     def __init__(self, n_arms: int, subset_size: int, order: int, horizon: int,
                  eta: float | None = None, gamma_mix: float | None = None,
-                 design_eps: float = 0.05, design_max_iters: int = 10_000,
                  cap: int = DEFAULT_ENUMERATION_CAP, replications: int = 1):
         count = n_subsets(n_arms, subset_size)
         dim = n_arms ** order
@@ -371,14 +364,6 @@ class Exp2(_Batched):
         self.n_actions = count
         self.dim = dim
         self.features, self.span_basis = _feature_span(n_arms, subset_size, order)
-        self.design = _exp2_design(n_arms, subset_size, order, float(design_eps),
-                                   int(design_max_iters))
-        if not self.design.certified:
-            warnings.warn(
-                f"KW design not certified: max leverage {self.design.max_leverage:.6g} "
-                f"exceeds (1 + {design_eps}) x span rank {self.span_basis.shape[1]} "
-                f"after {self.design.iterations} iterations",
-                RuntimeWarning, stacklevel=2)
         if gamma_mix is None:
             gamma_mix = min(0.5, math.sqrt(dim * math.log(max(count, 2)) / horizon))
         if eta is None:
@@ -407,7 +392,7 @@ class Exp2(_Batched):
             q = np.exp(self.eta * (self.estimates
                                    - self.estimates.max(axis=1, keepdims=True)))
             q /= q.sum(axis=1, keepdims=True)
-            self._dist = (1.0 - self.gamma_mix) * q + self.gamma_mix * self.design.weights
+            self._dist = (1.0 - self.gamma_mix) * q + self.gamma_mix * (1.0 / self.n_actions)
         return self._dist
 
     def sampling_distribution(self) -> np.ndarray:

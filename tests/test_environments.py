@@ -23,6 +23,8 @@ from nonlinbandit import (
     mnl_revenue,
     mnl_sample_choice,
 )
+from nonlinbandit.core import subsets_by_rank
+from nonlinbandit.kernel import ChoiceChannel
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +182,36 @@ def test_bernoulli_feedback_frequency():
 def test_mnl_choice_zero_utilities(rng):
     s = SubsetAction.from_indices((0, 1), 3)
     assert all(mnl_sample_choice(s, np.zeros(3), rng) == -1 for _ in range(50))
+
+
+class _FixedUniform:
+    """Stands in for a generator whose next uniform is known."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def test_choice_channel_zero_utility_rows_match_sample_choice(rng):
+    # batched MNL purchases: rows 0..31 offer only zero utilities (always no
+    # purchase); rows 32..63 zero one offered item of each subset
+    n_arms, size, rows = 5, 2, 64
+    subsets = subsets_by_rank(n_arms, size)
+    prices = rng.uniform(0.1, 1.0, size=n_arms)
+    hidden = rng.uniform(0.0, 2.0, size=(rows, n_arms))
+    ranks = rng.integers(0, subsets.shape[0], size=rows)
+    hidden[:32] = 0.0
+    hidden[np.arange(32, rows), subsets[ranks[32:], 0]] = 0.0
+    uniforms = rng.random(rows)
+    uniforms[[0, 1, 32, 33]] = 0.0, np.nextafter(1.0, 0.0), 0.0, np.nextafter(1.0, 0.0)
+    rewards = ChoiceChannel(prices, subsets).rewards(hidden, ranks, None, uniforms)
+    assert np.all(rewards[:32] == 0.0)
+    for row in range(rows):
+        offered = SubsetAction.from_rank(int(ranks[row]), n_arms, size)
+        choice = mnl_sample_choice(offered, hidden[row], _FixedUniform(uniforms[row]))
+        assert rewards[row] == (0.0 if choice == -1 else prices[choice]), row
 
 
 def test_mnl_choice_single_item_half(rng):

@@ -13,6 +13,7 @@ from nonlinbandit import (
     write_run_csv,
 )
 from nonlinbandit.cli import main, parse_link_arg
+from nonlinbandit.harness import ALGORITHM_PARAMS
 
 
 def _hard_run_config(instance, algo, *, n_arms=5, subset_size=2, horizon=400,
@@ -315,21 +316,6 @@ def test_exp2_requires_polynomial_link(mnl_hard_m2):
         run_experiment(config)
 
 
-def _count_designs(monkeypatch):
-    import nonlinbandit.learners as learners_mod
-
-    calls = []
-    original = learners_mod.kw_optimal_design
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(learners_mod, "kw_optimal_design", counting)
-    learners_mod._exp2_design.cache_clear()
-    return calls
-
-
 _EXP2_CONFIG = {
     "dims": {"N": 5, "K": 2, "T": 50, "d": 2},
     "link": {"kind": "polynomial", "coefficients": [0.1, 0.2, 0.05]},
@@ -340,19 +326,51 @@ _EXP2_CONFIG = {
 }
 
 
+def _count_design_builds(monkeypatch):
+    # EXP2 explores with the uniform design on a feature table memoized per
+    # (N, K, d): count the Frank-Wolfe searches (none) and the table builds
+    import nonlinbandit.learners as learners_mod
+
+    calls = []
+    original = learners_mod.kw_optimal_design
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(learners_mod, "kw_optimal_design", counting)
+    learners_mod._feature_span.cache_clear()
+    return calls, learners_mod._feature_span.cache_info
+
+
 def test_exp2_design_built_once_per_cell(monkeypatch):
-    calls = _count_designs(monkeypatch)
+    calls, cache_info = _count_design_builds(monkeypatch)
     config = ExperimentConfig.from_dict(_EXP2_CONFIG)
     assert all(r.error is None for r in run_experiment(config))
-    assert len(calls) == 1  # the validation build and the batch share one design
+    assert calls == []
+    assert cache_info().misses == 1  # the validation build and the batch share one table
 
 
 def test_exp2_design_built_once_per_sweep(monkeypatch):
-    calls = _count_designs(monkeypatch)
+    calls, cache_info = _count_design_builds(monkeypatch)
     config = ExperimentConfig.from_dict({**_EXP2_CONFIG, "t_grid": [50, 100]})
     rows = run_sweep(config)
     assert [row["T"] for row in rows] == [50, 100]
-    assert len(calls) == 1  # two horizons, each validated and run, one design
+    assert calls == []
+    assert cache_info().misses == 1  # two horizons, each validated and run, one table
+
+
+@pytest.mark.parametrize("algo,key", [("exp2", "design_eps"), ("exp2", "gama_mix"),
+                                      ("exp3", "eta"), ("tsallis_inf", "gamma_mix"),
+                                      ("constant", "mixing")])
+def test_unknown_learner_params_rejected(algo, key):
+    params = {key: 0.05, **({"subset": [0, 1]} if algo == "constant" else {})}
+    config = ExperimentConfig.from_dict({**_EXP2_CONFIG,
+                                         "algorithms": [{"name": algo, "params": params}]})
+    with pytest.raises(ValueError, match=rf"{key}.*accepted: \[") as err:
+        run_experiment(config)
+    for accepted in ALGORITHM_PARAMS[algo]:
+        assert repr(accepted) in str(err.value)
 
 
 def test_stochastic_exp2_through_harness(tmp_path):
@@ -502,6 +520,16 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
                                "adversary": {"kind": "stochastic", "v": [0.1, 0.2]},
                                "algorithms": [{"name": "exp3"}]}))
     assert main(["run", "--config", str(cfg)]) == 1
+
+
+def test_cli_unknown_learner_param_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({**_EXP2_CONFIG,
+                               "algorithms": [{"name": "exp2",
+                                               "params": {"gama_mix": 0.05}}]}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "gama_mix" in err and "gamma_mix" in err
 
 
 def test_parse_link_arg():

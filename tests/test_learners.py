@@ -152,6 +152,42 @@ def test_loss_estimates_unbiased_exhaustive(rng):
         assert np.allclose(expected_estimate, 1.0 - means, atol=1e-10)
 
 
+def test_exp3_at_underflow_scale():
+    # Cumulative losses spread to 1e9 at t ~ 1e7: exp(-eta (L - min L))
+    # underflows to exact zeros on the far ranks, and the mass of the near
+    # ranks can add up to just below 1.  Row 0 keeps its zero ranks last.
+    rng = np.random.default_rng(31)
+    edges = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+    for _ in range(20):
+        losses = np.concatenate([rng.uniform(0.0, 3e6, size=(2, 6)),
+                                 rng.uniform(1e8, 1e9, size=(2, 4))], axis=1)
+        losses[1] = rng.permutation(losses[1])
+        batch = SubsetMab(5, 2, "exp3", replications=2)
+        solos = [SubsetMab(5, 2, "exp3") for _ in range(2)]
+        for learner, cum in ((batch, losses), (solos[0], losses[0]), (solos[1], losses[1])):
+            learner.rounds = 10**7
+            learner.cum_losses = cum
+        p = batch.distribution()
+        assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all((p == 0).sum(axis=1) == 4)
+        # every cumulative boundary, the float below it and the extremes
+        cum = np.add.accumulate(p, axis=1).ravel()
+        for u in np.concatenate([edges, cum, np.nextafter(cum, 0.0)]):
+            if u < 1.0:
+                ranks = batch.select_ranks(np.full(2, u))
+                assert np.all(p[[0, 1], ranks] > 0), u
+        picks = rng.random(2)
+        ranks = batch.select_ranks(picks)
+        rewards = rng.integers(0, 2, size=2).astype(float)
+        batch.update_ranks(ranks, rewards)
+        assert np.all(np.isfinite(batch.losses))
+        for row, solo in enumerate(solos):
+            assert np.array_equal(solo.distribution(), p[row])
+            assert solo.select_ranks(picks[row:row + 1])[0] == ranks[row]
+            solo.update_ranks(ranks[row:row + 1], rewards[row:row + 1])
+            assert np.array_equal(solo.losses[0], batch.losses[row])
+
+
 def test_update_rejects_bad_reward():
     learner = SubsetMab(3, 1, "exp3")
     with pytest.raises(ValueError):
@@ -254,46 +290,32 @@ def test_exp2_span_solve_matches_pinv_reference(n_arms, subset_size, order):
             assert np.abs(fast - reference).max() <= rtol * np.abs(reference).max()
 
 
-def test_exp2_design_matches_standalone_search():
-    # the span rank comes from the basis SVD; the design is unchanged
-    for n_arms, subset_size, order in ((5, 2, 2), (8, 3, 1), (6, 3, 3)):
-        learner = Exp2(n_arms, subset_size, order, horizon=1000)
-        alone = kw_optimal_design(learner.features, eps=0.05)
-        assert np.array_equal(learner.design.weights, alone.weights)
-        assert learner.design.iterations == alone.iterations
-        assert learner.span_basis.shape[1] == np.linalg.matrix_rank(learner.features)
+@pytest.mark.parametrize("n_arms,subset_size,order",
+                         [(5, 2, 2), (8, 3, 1), (7, 3, 2), (6, 3, 3), (6, 5, 2), (12, 4, 2)])
+def test_uniform_design_is_optimal(n_arms, subset_size, order):
+    # EXP2 explores uniformly: for the full family of size-K subsets every
+    # leverage of the uniform design equals the span rank (the KW optimum),
+    # also at (6, 5, 2), where min(d, K, N - K) < d
+    learner = Exp2(n_arms, subset_size, order, horizon=1000)
+    basis = learner.span_basis
+    n_actions, rank = basis.shape
+    assert rank == np.linalg.matrix_rank(learner.features)
+    uniform = np.full(n_actions, 1.0 / n_actions)
+    gram = basis.T @ (uniform[:, None] * basis)
+    leverages = np.einsum("ij,jk,ik->i", basis, np.linalg.inv(gram), basis)
+    assert np.abs(leverages - rank).max() <= 1e-12 * rank
+    design = kw_optimal_design(learner.features)
+    assert design.certified and design.iterations == 1
+    assert np.array_equal(design.weights, uniform)
 
 
 def test_exp2_design_shared_read_only():
     first = Exp2(5, 2, 2, horizon=100)
     second = Exp2(5, 2, 2, horizon=1000, replications=3)
-    assert second.design is first.design
     assert second.features is first.features
-    for arr in (first.design.weights, first.features, first.span_basis):
+    assert second.span_basis is first.span_basis
+    for arr in (first.features, first.span_basis):
         assert not arr.flags.writeable
-    assert Exp2(5, 2, 2, horizon=100, design_eps=0.1).design is not first.design
-
-
-def test_exp2_warns_on_uncertified_design(monkeypatch):
-    import nonlinbandit.learners as learners_mod
-
-    # Every leverage of the uniform start equals the span rank for the full
-    # family of size-K subsets (by symmetry), so a real search certifies at
-    # iteration 1; a certificate no design meets forces the uncertified path.
-    original = learners_mod.kw_optimal_design
-
-    def unmeetable(features, eps, max_iters, rank):
-        return original(features, eps=-1.0, max_iters=max_iters, rank=rank)
-
-    monkeypatch.setattr(learners_mod, "kw_optimal_design", unmeetable)
-    learners_mod._exp2_design.cache_clear()
-    try:
-        with pytest.warns(RuntimeWarning,
-                          match=r"not certified: max leverage 10 .* after 1 iterations"):
-            learner = Exp2(5, 2, 2, horizon=100, design_max_iters=1)
-        assert not learner.design.certified
-    finally:
-        learners_mod._exp2_design.cache_clear()
 
 
 def test_batched_learners_match_solo_rows():
@@ -329,7 +351,7 @@ def test_exp2_zero_rewards_stay_uniform(rng):
         action = learner.select(rng)
         learner.update(action, 0.0)
     assert np.allclose(learner.cum_reward_estimates, 0.0)
-    q_part = learner.sampling_distribution() - learner.gamma_mix * learner.design.weights
+    q_part = learner.sampling_distribution() - learner.gamma_mix / learner.n_actions
     assert np.allclose(q_part, (1 - learner.gamma_mix) / 3, atol=1e-12)
 
 
@@ -355,7 +377,7 @@ def test_exp2_sampling_distribution_structure(rng):
     learner = Exp2(4, 2, 2, horizon=500)
     p = learner.sampling_distribution()
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(p >= learner.gamma_mix * learner.design.weights - 1e-15)
+    assert np.all(p >= learner.gamma_mix / learner.n_actions - 1e-15)
     action = learner.select(rng)
     learner.update(action, 1.0)
     p2 = learner.sampling_distribution()
