@@ -37,8 +37,8 @@ class LinkFunction:
     """Maps the summed values of a chosen subset to an expected reward.
 
     Subclasses implement ``_eval`` on float arrays; ``__call__`` accepts
-    scalars or arrays and preserves the input shape.  ``_eval_scalar`` is a
-    fast path for plain floats on the simulation hot loop.
+    scalars or arrays and preserves the input shape.  ``_eval_scalar`` is the
+    plain-float path of the per-round reference and the hard-instance checks.
     """
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
@@ -228,6 +228,16 @@ class ProblemDims:
             raise ValueError("degree must be >= 1 when given")
 
 
+def colex_ranks(combos: np.ndarray, n_arms: int) -> np.ndarray:
+    """Vectorized :func:`rank_subset` of the increasing index tuples (below
+    ``n_arms``) along the last axis of ``combos``: sum_j C(c_j, j + 1)."""
+    ranks = np.zeros(combos.shape[:-1], dtype=np.int64)
+    for j in range(combos.shape[-1]):
+        binom = np.array([math.comb(c, j + 1) for c in range(n_arms)], dtype=np.int64)
+        ranks += binom[combos[..., j]]
+    return ranks
+
+
 @lru_cache(maxsize=32)
 def all_subsets(n_arms: int, subset_size: int) -> tuple[np.ndarray, np.ndarray]:
     """All size-K subsets as an (A, K) index array plus their colex ranks.
@@ -237,14 +247,8 @@ def all_subsets(n_arms: int, subset_size: int) -> tuple[np.ndarray, np.ndarray]:
     """
     combos = np.array(
         list(itertools.combinations(range(n_arms), subset_size)), dtype=np.int64
-    ).reshape(-1, subset_size)
-    table = np.zeros((n_arms, subset_size + 1), dtype=np.int64)
-    for c in range(n_arms):
-        for j in range(subset_size + 1):
-            table[c, j] = math.comb(c, j)
-    ranks = np.zeros(combos.shape[0], dtype=np.int64)
-    for j in range(subset_size):
-        ranks += table[combos[:, j], j + 1]
+    ).reshape(math.comb(n_arms, subset_size), subset_size)
+    ranks = colex_ranks(combos, n_arms)
     combos.setflags(write=False)
     ranks.setflags(write=False)
     return combos, ranks

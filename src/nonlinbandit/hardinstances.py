@@ -402,7 +402,7 @@ def _sub_tuple_ranks(n_values: int, m: int, level: int) -> np.ndarray:
     ``all_subsets(m, level)[0][k]``.  By stars and bars the sorted tuple
     a_0 <= ... <= a_{level-1} is the subset {a_j + j} of
     ``range(n_values + level - 1)``, whose rank is sum_j C(a_j + j, j + 1),
-    as in :func:`core.all_subsets`.  Kept in the smallest unsigned dtype that
+    as in :func:`core.colex_ranks`.  Kept in the smallest unsigned dtype that
     holds the ranks: uint8 at level 1, uint16 at m = 3 on the 1/50 grid and
     at m = 4 on the 1/25 grid.
     """

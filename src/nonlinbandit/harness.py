@@ -82,6 +82,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if not self.algorithm_specs:
             raise ValueError("need at least one algorithm")
         for spec in self.algorithm_specs:

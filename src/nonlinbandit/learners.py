@@ -1,5 +1,5 @@
 """Bandit learners: exponential-weights families over subset arms and
-tensor-featured linear play with uniform exploration.
+degree-d linear play on subset-inclusion features with uniform exploration.
 
 All learners are loss minimizers with the convention loss = 1 - reward; the
 tensorized learner keeps cumulative reward estimates internally, which is
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +25,11 @@ from .core import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     SubsetAction,
+    all_subsets,
     check_unit_interval,
+    colex_ranks,
     n_subsets,
+    subsets_by_rank,
     tensor_features,
     unrank_subset,
 )
@@ -244,10 +247,6 @@ class SubsetMab(_Batched):
 # Experimental design
 # ---------------------------------------------------------------------------
 
-def _span_rank(svals: np.ndarray) -> int:
-    return int(np.sum(svals > 1e-10 * svals[0])) if svals.size else 0
-
-
 @dataclass(frozen=True)
 class DesignWeights:
     """Exploration design over actions with its leverage certificate."""
@@ -274,7 +273,8 @@ def kw_optimal_design(features, eps: float = 0.05,
     n_actions, dim = x.shape
     if n_actions < 1:
         raise ValueError("need at least one feature")
-    rank = _span_rank(np.linalg.svd(x, compute_uv=False))
+    svals = np.linalg.svd(x, compute_uv=False)
+    rank = int(np.sum(svals > 1e-10 * svals[0])) if svals.size else 0
     if rank == 0:
         raise ValueError("features are all zero")
     pi = np.full(n_actions, 1.0 / n_actions)
@@ -295,75 +295,61 @@ def kw_optimal_design(features, eps: float = 0.05,
     return DesignWeights(pi, leverage_max, iteration, False)
 
 
-@lru_cache(maxsize=16)
-def _feature_span(n_arms: int, subset_size: int, order: int):
-    """Read-only order-``order`` tensor feature table of all size-K subsets in
-    rank order and an orthonormal basis of its column span (thin SVD), whose
-    width is the span rank.  Callers gate the table size against their cap
-    first."""
-    features = np.stack([
-        tensor_features(SubsetAction.from_rank(r, n_arms, subset_size),
-                        n_arms, order, cap=n_arms ** order)
-        for r in range(n_subsets(n_arms, subset_size))
-    ])
-    left, svals, _ = np.linalg.svd(features, full_matrices=False)
-    basis = left[:, :_span_rank(svals)]
-    features.setflags(write=False)
-    basis.setflags(write=False)
-    return features, basis
-
-
 # ---------------------------------------------------------------------------
 # Tensorized linear play
 # ---------------------------------------------------------------------------
 
 class Exp2(_Batched):
-    """Exponential weights over tensor-featured subset actions.
+    """Exponential weights over subset actions with degree-d linear estimates.
 
     Sampling mixes the weight distribution with the uniform design:
     p = (1 - gamma_mix) q + gamma_mix / A.  For the full family of size-K
     subsets the uniform design is G-optimal: the problem is symmetric under
-    arm permutations, so every action's leverage under it equals the span
-    rank (the Kiefer-Wolfowitz optimum), as in ComBand.  Updates form the
-    least-squares estimate M(p)^+ x_S r of the lifted reward vector, with
-    M(p) = F' diag(p) F, and add the estimated rewards of all actions
-    F M(p)^+ x_S r, scaled by ``eta``, to the log-weights.
+    arm permutations, so every action's leverage under it equals the feature
+    rank (the Kiefer-Wolfowitz optimum), as in ComBand.
 
-    The estimate never forms M(p)^+.  With U (A x r) an orthonormal basis of
-    the column span of the feature table F, fixed at construction by a thin
-    SVD, and P = diag(p),
+    The paper's features F are the order-d tensor powers of the subset
+    indicator (``features``, A x N^d).  On 0/1 indicators they span the same
+    space as the full-column-rank inclusion matrix W (A x C(N, d')),
+    W[S, T] = 1[T subset of S] over the size-d' subsets T,
+    d' = min(d, K, N - K) (Gottlieb 1966; Wilson 1990).  So with
+    P = diag(p) the least-squares estimates of all actions' rewards from the
+    observation (S, r), added to the log-weights scaled by ``eta``, are
 
-        F (F'PF)^+ F' e_S = U (U'PU)^-1 U' e_S.
+        F (F'PF)^+ F' e_S r = W (W'PW)^-1 W' e_S r.
 
-    U'PU is positive definite with smallest eigenvalue at least min(p) > 0
-    (``gamma_mix`` > 0 keeps every p_a positive), so one r x r solve per
-    round and replication replaces the N^d x N^d pseudo-inverse: O(A r^2) to
-    form U'PU plus the solve, with r = 8 at d=1, N=8 and r = 21 at d=2, N=7;
-    a batch stacks the R systems into one (R, r, r) solve.  The feature
-    table and its span basis are built once per key and shared read-only by
-    every learner of that key.  ``second_moment_pinv``
-    stays as the reference path the tests compare against.  The features
-    are still the N^d tensor columns; the smaller table of sub-subset
-    indicators 1[T subset of S], |T| <= d, which spans the same space, is not
-    used yet.  ``estimates`` holds the (R, A) cumulative reward estimates;
-    ``cum_reward_estimates`` is its single row when R = 1.
+    W'PW is positive definite with smallest eigenvalue at least
+    min(p) lambda_min(W'W) (``gamma_mix`` > 0 keeps every p_a positive), so
+    one r x r solve per round and replication, r = C(N, d'), replaces the
+    N^d x N^d pseudo-inverse; a batch stacks the R systems into one
+    (R, r, r) solve.  Only the reference path the tests compare against,
+    ``second_moment_pinv``, builds the N^d table.  ``estimates`` holds the
+    (R, A) cumulative reward estimates; ``cum_reward_estimates`` is its
+    single row when R = 1.
     """
 
     def __init__(self, n_arms: int, subset_size: int, order: int, horizon: int,
                  eta: float | None = None, gamma_mix: float | None = None,
                  cap: int = DEFAULT_ENUMERATION_CAP, replications: int = 1):
+        if order < 1:
+            raise ValueError("order must be >= 1")
         count = n_subsets(n_arms, subset_size)
-        dim = n_arms ** order
-        if dim > cap or count * dim > cap:
-            raise CapExceededError(f"{count} x {dim} feature table exceeds cap")
+        level = min(order, subset_size, n_arms - subset_size)
+        width = math.comb(n_arms, level)
+        if count * width > cap:
+            raise CapExceededError(f"{count} x {width} inclusion matrix exceeds cap {cap}")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         self.n_arms = n_arms
         self.subset_size = subset_size
         self.order = order
         self.n_actions = count
-        self.dim = dim
-        self.features, self.span_basis = _feature_span(n_arms, subset_size, order)
+        self.dim = dim = n_arms ** order
+        # row S of W holds a one at the colex rank of each of its C(K, d')
+        # sub-subsets, taken at the slot positions all_subsets(K, d')
+        members = subsets_by_rank(n_arms, subset_size)[:, all_subsets(subset_size, level)[0]]
+        self.inclusion = np.zeros((count, width))
+        np.put_along_axis(self.inclusion, colex_ranks(members, n_arms), 1.0, axis=1)
         if gamma_mix is None:
             gamma_mix = min(0.5, math.sqrt(dim * math.log(max(count, 2)) / horizon))
         if eta is None:
@@ -376,6 +362,12 @@ class Exp2(_Batched):
         self.estimates = np.zeros((replications, count))
         self.rounds = 0
         self._dist: np.ndarray | None = None
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """The A x N^d order-d tensor feature table in rank order."""
+        return np.stack([tensor_features(self._action(r), self.n_arms, self.order)
+                         for r in range(self.n_actions)])
 
     @property
     def cum_reward_estimates(self) -> np.ndarray:
@@ -407,15 +399,15 @@ class Exp2(_Batched):
         return np.linalg.pinv(moment, rcond=1e-10, hermitian=True)
 
     def _estimate_rows(self, ranks, rewards, probs) -> np.ndarray:
-        """(R, A) estimates U (U'P_iU)^-1 U' e_(S_i) r_i, one stacked solve."""
-        basis = self.span_basis
-        gram = (basis.T * probs[:, None, :]) @ basis
-        coef = np.linalg.solve(gram, basis[ranks][:, :, None])
-        return (basis @ coef)[:, :, 0] * rewards[:, None]
+        """(R, A) estimates W (W'P_iW)^-1 W' e_(S_i) r_i, one stacked solve."""
+        inclusion = self.inclusion
+        gram = (inclusion.T * probs[:, None, :]) @ inclusion
+        coef = np.linalg.solve(gram, inclusion[ranks][:, :, None])
+        return (inclusion @ coef)[:, :, 0] * rewards[:, None]
 
     def estimate_rewards(self, rank: int, reward: float, probs=None) -> np.ndarray:
         """Per-action reward estimates F M(p)^+ x_S r from one observed
-        (action, reward) pair, by a solve on the feature span."""
+        (action, reward) pair, by a solve on the inclusion matrix."""
         if probs is None:
             probs = self.sampling_distribution()
         return self._estimate_rows(np.array([rank]), np.array([float(reward)]),

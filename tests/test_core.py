@@ -22,7 +22,7 @@ from nonlinbandit import (
     tensor_features,
     unrank_subset,
 )
-from nonlinbandit.core import DEFAULT_ENUMERATION_CAP
+from nonlinbandit.core import DEFAULT_ENUMERATION_CAP, all_subsets, colex_ranks, subsets_by_rank
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,21 @@ def test_rank_unrank_bijection(dims):
         assert rank_subset(idx, n, k) == rank
         seen.add(idx)
     assert len(seen) == total
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (5, 2), (6, 6), (9, 4), (4, 0)])
+def test_colex_ranks_match_scalar_rank(n, k):
+    # the enumeration's ranks come from the vectorized helper; K = 0 gives the
+    # one empty subset, of rank 0
+    combos, ranks = all_subsets(n, k)
+    assert combos.shape == (math.comb(n, k), k)
+    assert ranks.tolist() == [sum(math.comb(c, j + 1) for j, c in enumerate(row))
+                              for row in combos.tolist()]
+    if k:
+        assert ranks.tolist() == [rank_subset(row, n, k) for row in combos]
+        assert np.array_equal(subsets_by_rank(n, k)[ranks], combos)
+    stacked = np.stack([combos, combos])
+    assert np.array_equal(colex_ranks(stacked, n), np.stack([ranks, ranks]))
 
 
 def _largest_n_under_cap(k):

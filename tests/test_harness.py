@@ -327,8 +327,7 @@ _EXP2_CONFIG = {
 
 
 def _count_design_builds(monkeypatch):
-    # EXP2 explores with the uniform design on a feature table memoized per
-    # (N, K, d): count the Frank-Wolfe searches (none) and the table builds
+    # EXP2 explores with the uniform design: count the Frank-Wolfe searches
     import nonlinbandit.learners as learners_mod
 
     calls = []
@@ -339,25 +338,22 @@ def _count_design_builds(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(learners_mod, "kw_optimal_design", counting)
-    learners_mod._feature_span.cache_clear()
-    return calls, learners_mod._feature_span.cache_info
+    return calls
 
 
 def test_exp2_design_built_once_per_cell(monkeypatch):
-    calls, cache_info = _count_design_builds(monkeypatch)
+    calls = _count_design_builds(monkeypatch)
     config = ExperimentConfig.from_dict(_EXP2_CONFIG)
     assert all(r.error is None for r in run_experiment(config))
     assert calls == []
-    assert cache_info().misses == 1  # the validation build and the batch share one table
 
 
 def test_exp2_design_built_once_per_sweep(monkeypatch):
-    calls, cache_info = _count_design_builds(monkeypatch)
+    calls = _count_design_builds(monkeypatch)
     config = ExperimentConfig.from_dict({**_EXP2_CONFIG, "t_grid": [50, 100]})
     rows = run_sweep(config)
     assert [row["T"] for row in rows] == [50, 100]
     assert calls == []
-    assert cache_info().misses == 1  # two horizons, each validated and run, one table
 
 
 @pytest.mark.parametrize("algo,key", [("exp2", "design_eps"), ("exp2", "gama_mix"),
@@ -371,6 +367,12 @@ def test_unknown_learner_params_rejected(algo, key):
         run_experiment(config)
     for accepted in ALGORITHM_PARAMS[algo]:
         assert repr(accepted) in str(err.value)
+
+
+def test_negative_base_seed_rejected():
+    # a negative seed is a configuration error, not a failed replication
+    with pytest.raises(ValueError, match="base_seed"):
+        ExperimentConfig.from_dict({**_EXP2_CONFIG, "base_seed": -1})
 
 
 def test_stochastic_exp2_through_harness(tmp_path):
@@ -530,6 +532,14 @@ def test_cli_unknown_learner_param_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "gama_mix" in err and "gamma_mix" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_negative_base_seed_exits_one(tmp_path, capsys, command):
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({**_EXP2_CONFIG, "base_seed": -3}))
+    assert main([command, "--config", str(cfg)]) == 1
+    assert "base_seed" in capsys.readouterr().err
 
 
 def test_parse_link_arg():

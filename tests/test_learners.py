@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonlinbandit import (
+    CapExceededError,
     ConstantPolicy,
     Exp2,
     PolynomialLink,
@@ -15,6 +17,7 @@ from nonlinbandit import (
     lift_reward_vector,
     tsallis_distribution,
     tsallis_rows,
+    unrank_subset,
 )
 
 
@@ -261,10 +264,49 @@ def test_exp2_single_arm_actions_are_diagonal(rng):
 
 
 @pytest.mark.parametrize("n_arms,subset_size,order",
-                         [(4, 1, 1), (5, 2, 2), (7, 3, 2), (8, 3, 1), (6, 3, 3)])
+                         [(4, 1, 1), (5, 2, 2), (7, 3, 2), (6, 5, 2), (6, 3, 3), (3, 3, 2)])
+def test_exp2_inclusion_matrix(n_arms, subset_size, order):
+    # W[S, T] = 1[T subset of S] over the size-d' subsets T in colex order,
+    # d' = min(d, K, N - K); it has full column rank and spans the same space
+    # as the tensor features (a single column of ones at K = N, where d' = 0)
+    learner = Exp2(n_arms, subset_size, order, horizon=100)
+    level = min(order, subset_size, n_arms - subset_size)
+    columns = sorted(itertools.combinations(range(n_arms), level), key=lambda t: t[::-1])
+    rows = [set(unrank_subset(r, n_arms, subset_size)) for r in range(learner.n_actions)]
+    expected = np.array([[float(set(t) <= row) for t in columns] for row in rows])
+    assert np.array_equal(learner.inclusion, expected)
+    features = learner.features
+    rank = np.linalg.matrix_rank(features)
+    assert np.linalg.matrix_rank(expected) == expected.shape[1] == rank
+    assert np.linalg.matrix_rank(np.hstack([features, expected])) == rank
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"order": 0}, "order"), ({"horizon": 0}, "horizon"),
+    ({"gamma_mix": 0.0}, "gamma_mix"), ({"gamma_mix": -0.1}, "gamma_mix"),
+    ({"gamma_mix": 1.5}, "gamma_mix"), ({"eta": 0.0}, "eta"), ({"eta": -1.0}, "eta"),
+])
+def test_exp2_rejects_bad_arguments(kwargs, message):
+    # order 0 must not fall through to a W with d' = 0, a column of ones
+    with pytest.raises(ValueError, match=message):
+        Exp2(**{"n_arms": 5, "subset_size": 2, "order": 1, "horizon": 100, **kwargs})
+
+
+def test_exp2_cap_counts_the_inclusion_matrix():
+    # at (6, 5, 2), d' = min(2, 5, 1) = 1: W is 6 x C(6, 1), not 6 x 6**2
+    size = 6 * math.comb(6, 1)
+    with pytest.raises(CapExceededError):
+        Exp2(6, 5, 2, horizon=100, cap=size - 1)
+    assert Exp2(6, 5, 2, horizon=100, cap=size).inclusion.shape == (6, 6)
+
+
+_PINV_KEYS = [(4, 1, 1), (5, 2, 2), (7, 3, 2), (8, 3, 1), (6, 3, 3), (6, 5, 2)]
+
+
+@pytest.mark.parametrize("n_arms,subset_size,order", _PINV_KEYS)
 def test_exp2_span_solve_matches_pinv_reference(n_arms, subset_size, order):
-    # the per-round estimate U (U'PU)^-1 U' e_S r must equal the pseudo-inverse
-    # reference F M(p)^+ F' e_S r for every played rank
+    # the per-round estimate W (W'PW)^-1 W' e_S r must equal the
+    # pseudo-inverse reference F M(p)^+ F' e_S r for every played rank
     learner = Exp2(n_arms, subset_size, order, horizon=1000)
     n_actions = learner.n_actions
     rng = np.random.default_rng(n_arms * 100 + subset_size * 10 + order)
@@ -272,14 +314,15 @@ def test_exp2_span_solve_matches_pinv_reference(n_arms, subset_size, order):
     concentrated[n_actions // 2] = 1.0
     dists = [rng.dirichlet(np.ones(n_actions))]
     dists += [(1 - gamma) * concentrated + gamma / n_actions for gamma in (1e-6, 0.02)]
-    basis = learner.span_basis
+    inclusion = learner.inclusion
+    gram_floor = np.linalg.eigvalsh(inclusion.T @ inclusion)[0]
     eps = np.finfo(float).eps
     for p in dists:
         assert p.min() >= 1e-8  # the reference pinv (rcond 1e-10) does not truncate
         # eigvalsh is accurate to about eps * lambda_max in absolute terms
-        eigs = np.linalg.eigvalsh(basis.T @ (p[:, None] * basis))
-        assert eigs[0] >= p.min() * (1 - 1e-9) - 8 * eps * eigs[-1]
-        # U'PU has condition number at most 1 / min(p), so both paths carry
+        eigs = np.linalg.eigvalsh(inclusion.T @ (p[:, None] * inclusion))
+        assert eigs[0] >= p.min() * gram_floor * (1 - 1e-9) - 8 * eps * eigs[-1]
+        # W'PW has condition number of order 1 / min(p), so both paths carry
         # roundoff up to about eps / min(p) relative to the largest estimate;
         # above min(p) ~ 2e-5 the 1e-10 floor is the binding tolerance
         rtol = 1e-10 + 8 * eps / p.min()
@@ -290,32 +333,52 @@ def test_exp2_span_solve_matches_pinv_reference(n_arms, subset_size, order):
             assert np.abs(fast - reference).max() <= rtol * np.abs(reference).max()
 
 
+@st.composite
+def _tiny_floor_distributions(draw):
+    n_arms, subset_size, order = draw(st.sampled_from(_PINV_KEYS))
+    n_actions = math.comb(n_arms, subset_size)
+    floor = min(10.0 ** draw(st.floats(-9.0, -0.5)), 1.0 / n_actions)
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n_actions,
+                                     max_size=n_actions)))
+    if weights.sum() == 0:
+        weights[:] = 1.0
+    probs = floor + (1.0 - n_actions * floor) * weights / weights.sum()
+    return (n_arms, subset_size, order), probs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tiny_floor_distributions())
+def test_exp2_estimate_matches_pinv_with_mixing_near_zero(case):
+    # gamma_mix near 0 leaves min(p) as small as 1e-9: both paths then carry
+    # roundoff of order eps / min(p) relative to the largest estimate
+    key, probs = case
+    learner = Exp2(*key, horizon=1000)
+    features = learner.features
+    reference = features @ learner.second_moment_pinv(probs) @ features.T * 0.7
+    rtol = 1e-10 + 8 * np.finfo(float).eps / probs.min()
+    for rank in range(learner.n_actions):
+        fast = learner.estimate_rewards(rank, 0.7, probs)
+        assert np.abs(fast - reference[:, rank]).max() <= rtol * np.abs(reference[:, rank]).max()
+
+
 @pytest.mark.parametrize("n_arms,subset_size,order",
                          [(5, 2, 2), (8, 3, 1), (7, 3, 2), (6, 3, 3), (6, 5, 2), (12, 4, 2)])
 def test_uniform_design_is_optimal(n_arms, subset_size, order):
     # EXP2 explores uniformly: for the full family of size-K subsets every
-    # leverage of the uniform design equals the span rank (the KW optimum),
-    # also at (6, 5, 2), where min(d, K, N - K) < d
+    # leverage of the uniform design equals the feature rank (the KW
+    # optimum), also at (6, 5, 2), where min(d, K, N - K) < d; leverages do
+    # not depend on the basis of the feature span, so W gives them
     learner = Exp2(n_arms, subset_size, order, horizon=1000)
-    basis = learner.span_basis
-    n_actions, rank = basis.shape
+    inclusion = learner.inclusion
+    n_actions, rank = inclusion.shape
     assert rank == np.linalg.matrix_rank(learner.features)
     uniform = np.full(n_actions, 1.0 / n_actions)
-    gram = basis.T @ (uniform[:, None] * basis)
-    leverages = np.einsum("ij,jk,ik->i", basis, np.linalg.inv(gram), basis)
+    gram = inclusion.T @ (uniform[:, None] * inclusion)
+    leverages = np.einsum("ij,jk,ik->i", inclusion, np.linalg.inv(gram), inclusion)
     assert np.abs(leverages - rank).max() <= 1e-12 * rank
     design = kw_optimal_design(learner.features)
     assert design.certified and design.iterations == 1
     assert np.array_equal(design.weights, uniform)
-
-
-def test_exp2_design_shared_read_only():
-    first = Exp2(5, 2, 2, horizon=100)
-    second = Exp2(5, 2, 2, horizon=1000, replications=3)
-    assert second.features is first.features
-    assert second.span_basis is first.span_basis
-    for arr in (first.features, first.span_basis):
-        assert not arr.flags.writeable
 
 
 def test_batched_learners_match_solo_rows():
