@@ -98,7 +98,7 @@ def _simplex_phase(A, b, c, basis, tol, max_iters):
         if not np.any(positive):
             raise SimplexError(f"unbounded objective at iteration {iteration}")
         ratios = np.full(r, np.inf)
-        ratios[positive] = x_b[positive] / direction[positive]
+        ratios[positive] = np.maximum(x_b[positive], 0.0) / direction[positive]
         theta = float(ratios.min())
         ties = np.nonzero(ratios <= theta + 1e-12)[0]
         if bland:
@@ -109,26 +109,77 @@ def _simplex_phase(A, b, c, basis, tol, max_iters):
     raise SimplexError(f"no convergence within {max_iters} iterations")
 
 
-def solve_lp(problem: LpProblem, tol: float = 1e-9,
-             max_iters: int | None = None) -> tuple[np.ndarray, float]:
+_START_COND_LIMIT = 1e10
+_START_NEG_TOL = 1e-9
+
+
+def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iters: int | None = None,
+             start=None) -> tuple[np.ndarray, float]:
     """Optimal basic feasible solution of the LP in ``problem``.
 
-    Two-phase dense primal simplex.  Termination requires every reduced cost
-    to be <= ``tol``, which certifies dual feasibility of the returned basis.
+    Dense primal simplex.  Termination requires every reduced cost to be
+    <= ``tol``, which certifies dual feasibility of the returned basis.
     Returns (weights, objective value).
+
+    ``start`` optionally names a feasible basis: one distinct column index
+    per row of ``eq_matrix``.  When its basis matrix has condition number at
+    most 1e10 and its basic values are all >= -1e-9 (a basis that is
+    feasible only up to rounding), the simplex starts there on the problem's
+    own arrays and skips phase 1.  Otherwise (a singular, ill-conditioned or
+    infeasible start, or one of the wrong size) and always when ``start`` is
+    None, the two-phase path runs: phase 1 drives artificial variables to
+    zero from the identity basis of an (r, n + r) copy, pivots zero-level
+    artificials out and drops the rows where none can leave as redundant.
+    The ratio test reads slightly negative basic values as 0, so a start
+    that is feasible only up to rounding takes a large pivot, not a backward
+    step.  The hard-instance search passes the crash basis of
+    :func:`_crash_basis`; a linear link's redundant moment rows make that
+    basis singular, and its LPs take the two-phase path.
     """
-    A = problem.eq_matrix.copy()
-    b = problem.eq_rhs.copy()
-    c = problem.objective
-    r, n = A.shape
+    A, b, c = problem.eq_matrix, problem.eq_rhs, problem.objective
+    n = A.shape[1]
     if max_iters is None:
         max_iters = 5_000 + 5 * n
+    basis = None if start is None else _feasible_start(A, b, start)
+    if basis is None:
+        A, b, basis = _phase_one(A, b, tol, max_iters)
+    basis, x_b, iters = _simplex_phase(A, b, c, basis, tol, max_iters)
+    weights = np.zeros(n)
+    weights[basis] = x_b
+    if np.any(weights < -1e-9):
+        raise SimplexError(f"negative basic variable after {iters} iterations")
+    weights = np.maximum(weights, 0.0)
+    return weights, float(c @ weights)
 
+
+def _feasible_start(A, b, start):
+    """``start`` as a basis array if it is a usable feasible basis, else None."""
+    r, n = A.shape
+    basis = np.array(start, dtype=np.intp)
+    if (basis.shape != (r,) or np.unique(basis).size != r
+            or basis.min() < 0 or basis.max() >= n):
+        return None
+    B = A[:, basis]
+    if not np.linalg.cond(B) <= _START_COND_LIMIT:
+        return None
+    if np.any(np.linalg.solve(B, b) < -_START_NEG_TOL):
+        return None
+    return basis
+
+
+def _phase_one(A, b, tol, max_iters):
+    """Feasible basis by the artificial-variable phase 1.
+
+    Returns the row-flipped constraint arrays, with redundant rows removed,
+    and a basis of real columns for them.
+    """
+    A = A.copy()
+    b = b.copy()
+    r, n = A.shape
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    # Phase 1: drive artificial variables to zero.
     A1 = np.hstack([A, np.eye(r)])
     c1 = np.concatenate([np.zeros(n), -np.ones(r)])
     basis = list(range(n, n + r))
@@ -142,23 +193,18 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9,
     while any(j >= n for j in basis):
         pos = next(i for i, j in enumerate(basis) if j >= n)
         B = A1[np.ix_(keep_rows, basis)]
-        row = np.linalg.solve(B, A1[np.ix_(keep_rows, list(range(n)))])[pos]
-        candidates = [j for j in range(n) if j not in basis and abs(row[j]) > 1e-9]
-        if candidates:
-            basis[pos] = candidates[0]
+        row = np.linalg.solve(B, A1[keep_rows, :n])[pos]
+        eligible = np.abs(row) > 1e-9
+        eligible[[j for j in basis if j < n]] = False
+        candidates = np.flatnonzero(eligible)
+        if candidates.size:
+            basis[pos] = int(candidates[0])
         else:
             del keep_rows[pos]
             del basis[pos]
-    A = A[keep_rows] if len(keep_rows) < r else A
-    b = b[keep_rows] if len(keep_rows) < r else b
-
-    basis, x_b, iters = _simplex_phase(A, b, c.copy(), np.array(basis), tol, max_iters)
-    weights = np.zeros(n)
-    weights[basis] = x_b
-    if np.any(weights < -1e-9):
-        raise SimplexError(f"negative basic variable after {iters} iterations")
-    weights = np.maximum(weights, 0.0)
-    return weights, float(c @ weights)
+    if len(keep_rows) < r:
+        A, b = A[keep_rows], b[keep_rows]
+    return A, b, np.array(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +492,48 @@ def _x0_problem(link, m, b, grid_step, x0):
     return grid, tuples, cols, target, problem
 
 
+_CRASH_POOL = 256
+
+
+def _crash_basis(grid: np.ndarray, x0: float, matrix: np.ndarray) -> list[int]:
+    """Crash start for the LP of :func:`_x0_problem` at ``x0``: the column of
+    the diagonal tuple (x0, ..., x0) plus m - 1 columns picked to keep the
+    basis well conditioned.
+
+    The diagonal tuple meets every moment row with weight 1, so a basis
+    holding it is feasible up to rounding whatever else it holds (Bixby,
+    "Implementing the simplex method: the initial basis", 1992).  Its row in
+    the lexicographic tuple table is closed-form: exactly the
+    C(G - i + m - 1, m) sorted tuples over ``range(i, G)`` come at or after
+    (i, ..., i), where i is the grid index of x0.  The other columns come
+    from greedy modified Gram-Schmidt over at most 256 evenly strided
+    columns: each pick is the pool column with the largest share of its norm
+    outside the span of the columns already picked, and only the pool's
+    residuals are updated, never the whole matrix.
+    """
+    m, n = matrix.shape
+    i = int(np.searchsorted(grid, x0))
+    diag = math.comb(grid.size + m - 1, m) - math.comb(grid.size - i + m - 1, m)
+    pool = np.arange(0, n, -(-n // _CRASH_POOL))
+    pool = pool[pool != diag]
+    residual = matrix[:, pool]
+    norms = np.linalg.norm(residual, axis=0)
+    basis = [diag]
+    direction = matrix[:, diag] / np.linalg.norm(matrix[:, diag])
+    for _ in range(m - 1):
+        residual = residual - np.outer(direction, direction @ residual)
+        left = np.linalg.norm(residual, axis=0)
+        pick = int(np.argmax(left / norms))
+        if not left[pick] > 0:
+            break
+        basis.append(int(pool[pick]))
+        direction = residual[:, pick] / left[pick]
+    return basis
+
+
 def _solve_for_x0(link, m, b, grid_step, x0):
     grid, tuples, cols, target, problem = _x0_problem(link, m, b, grid_step, x0)
-    weights, _ = solve_lp(problem)
+    weights, _ = solve_lp(problem, start=_crash_basis(grid, x0, problem.eq_matrix))
     keep = weights > 1e-14
     support = grid[tuples[keep]]
     kept = weights[keep]
@@ -468,10 +553,12 @@ def find_hard_instance(link: LinkFunction, m: int, b: int, grid_step: float = 0.
     For each candidate base level ``x0`` the moment constraints become a
     small LP over sorted grid tuples whose objective maximizes the depth-m
     moment; the candidate with the largest resulting ``gamma`` wins.  The
-    diagonal point mass is always feasible, so the search cannot fail; a
-    polynomial link of degree below m yields ``gamma`` at float-noise level.
+    diagonal point mass is always feasible, so the search cannot fail, and
+    each LP starts from a crash basis that holds it; a polynomial link of
+    degree below m yields ``gamma`` at float-noise level.
 
-    Raises :class:`CapExceededError`, before any tuple is enumerated, when a
+    Raises ``ValueError`` for an empty candidate list, and
+    :class:`CapExceededError`, before any tuple is enumerated, when a
     candidate's grid of G points has more than ``DEFAULT_ENUMERATION_CAP``
     sorted m-tuples, C(G + m - 1, m).
     """
@@ -480,6 +567,8 @@ def find_hard_instance(link: LinkFunction, m: int, b: int, grid_step: float = 0.
     if x0_candidates is None:
         x0_candidates = DEFAULT_X0_CANDIDATES
     x0_candidates = [float(x0) for x0 in x0_candidates]
+    if not x0_candidates:
+        raise ValueError("need at least one x0 candidate")
     for x0 in x0_candidates:
         if not 0 < x0 < 1:
             raise ValueError("x0 candidates must lie in (0, 1)")

@@ -22,7 +22,7 @@ from nonlinbandit import (
 )
 from nonlinbandit import hardinstances
 from nonlinbandit.core import all_subsets, subsets_by_rank
-from nonlinbandit.hardinstances import DEFAULT_X0_CANDIDATES
+from nonlinbandit.hardinstances import DEFAULT_GAP_TOL, DEFAULT_X0_CANDIDATES
 
 
 class ExpLink(LinkFunction):
@@ -108,10 +108,11 @@ def test_lp_problem_validation():
         LpProblem(objective=[np.inf, 1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0])
 
 
-@pytest.mark.parametrize("link_kind", ["mnl", "linear"])
+@pytest.mark.parametrize("link_kind", ["mnl", "linear", "poly"])
 @pytest.mark.parametrize("m, q", [(2, 50), (3, 50), (4, 25)])
 def test_solve_lp_matches_highs_on_search_lps(link_kind, m, q):
-    """Every x0 LP of the criterion-2 search, against an independent solver.
+    """Every x0 LP of the criterion-2 search, against an independent solver,
+    solved both from the search's crash start and by the two-phase path.
 
     HiGHS solves the dual, min b'y subject to A'y >= c with y free, whose
     optimum equals the primal optimum by strong duality; on these few-row,
@@ -120,10 +121,10 @@ def test_solve_lp_matches_highs_on_search_lps(link_kind, m, q):
     off at m = 4, so both are tightened.
     """
     optimize = pytest.importorskip("scipy.optimize")
-    link = MnlLink() if link_kind == "mnl" else PolynomialLink([0.0, 0.3])
+    link = {"mnl": MnlLink(), "linear": PolynomialLink([0.0, 0.3]),
+            "poly": _LOW_DEGREE[m]}[link_kind]
     for x0 in DEFAULT_X0_CANDIDATES:
-        *_, problem = hardinstances._x0_problem(link, m, m, 1 / q, x0)
-        _, objective = solve_lp(problem)
+        grid, *_, problem = hardinstances._x0_problem(link, m, m, 1 / q, x0)
         dual = optimize.linprog(
             problem.eq_rhs, A_ub=-problem.eq_matrix.T, b_ub=-problem.objective,
             bounds=(None, None), method="highs",
@@ -131,7 +132,80 @@ def test_solve_lp_matches_highs_on_search_lps(link_kind, m, q):
                      "dual_feasibility_tolerance": 1e-10},
         )
         assert dual.status == 0, dual.message
-        assert objective == pytest.approx(dual.fun, abs=1e-9), f"x0={x0}"
+        for start in (None, hardinstances._crash_basis(grid, x0, problem.eq_matrix)):
+            _, objective = solve_lp(problem, start=start)
+            assert objective == pytest.approx(dual.fun, abs=1e-9), f"x0={x0} start={start}"
+
+
+def _count_phase_one(monkeypatch):
+    calls = []
+    original = hardinstances._phase_one
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(hardinstances, "_phase_one", counting)
+    return calls
+
+
+# max x2 subject to x0 + x1 + x2 + 2 x3 = 1 and x0 + 2 x1 + 2 x3 = 1.5, where
+# column 3 is twice column 0; the optimum is x1 = 0.75, x2 = 0.25.
+_HAND_LP = LpProblem(objective=[0.0, 0.0, 1.0, 0.0],
+                     eq_matrix=[[1.0, 1.0, 1.0, 2.0], [1.0, 2.0, 0.0, 2.0]],
+                     eq_rhs=[1.0, 1.5])
+
+
+@pytest.mark.parametrize("start, why", [
+    ([0, 3], "singular"),
+    ([0, 2], "infeasible: x0 = 1.5, x2 = -0.5"),
+    ([0, 0], "repeated column"),
+    ([1], "too few columns"),
+])
+def test_solve_lp_bad_start_falls_back_on_hand_lp(monkeypatch, start, why):
+    calls = _count_phase_one(monkeypatch)
+    expected = solve_lp(_HAND_LP)
+    assert np.allclose(expected[0], [0.0, 0.75, 0.25, 0.0])
+    weights, objective = solve_lp(_HAND_LP, start=start)
+    assert calls == [1, 1], why
+    assert np.array_equal(weights, expected[0]) and objective == expected[1]
+
+
+def test_solve_lp_good_start_skips_phase_one(monkeypatch):
+    calls = _count_phase_one(monkeypatch)
+    weights, objective = solve_lp(_HAND_LP, start=[1, 2])
+    assert calls == []
+    assert np.allclose(weights, [0.0, 0.75, 0.25, 0.0]) and objective == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("x0", [0.2, 0.5, 0.85])
+def test_solve_lp_singular_crash_start_falls_back_on_linear_link(monkeypatch, x0):
+    # A linear link's depth-1 and depth-2 rows are both affine in the tuple
+    # mean, so with the ones row every 3-column basis is singular.
+    grid, *_, problem = hardinstances._x0_problem(PolynomialLink([0.0, 0.3]), 3, 3,
+                                                  1 / 50, x0)
+    start = hardinstances._crash_basis(grid, x0, problem.eq_matrix)
+    assert np.linalg.cond(problem.eq_matrix[:, start]) > 1e10
+    calls = _count_phase_one(monkeypatch)
+    expected = solve_lp(problem)
+    weights, objective = solve_lp(problem, start=start)
+    assert len(calls) == 2
+    assert np.array_equal(weights, expected[0]) and objective == expected[1]
+
+
+@pytest.mark.parametrize("m, q", [(2, 50), (3, 50), (4, 25)])
+def test_crash_basis_holds_the_diagonal_and_is_nonsingular(monkeypatch, m, q):
+    calls = _count_phase_one(monkeypatch)
+    for x0 in DEFAULT_X0_CANDIDATES:
+        grid, tuples, _, _, problem = hardinstances._x0_problem(MnlLink(), m, m, 1 / q, x0)
+        start = hardinstances._crash_basis(grid, x0, problem.eq_matrix)
+        diagonal = np.flatnonzero(np.all(grid[tuples] == x0, axis=1))
+        assert diagonal.tolist() == [start[0]], f"x0={x0}"
+        assert len(set(start)) == m
+        B = problem.eq_matrix[:, start]
+        assert np.linalg.matrix_rank(B) == m and np.linalg.cond(B) < 1e10, f"x0={x0}"
+        solve_lp(problem, start=start)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -241,23 +315,40 @@ def test_exponential_link_has_gap():
         assert np.max(np.abs(inst.residuals)) <= 1e-8
 
 
+def _random_low_degree_link(rng, m):
+    """A random polynomial of degree m - 1, mapped into [0.05, 0.95] on [0, m]."""
+    while True:
+        coeffs = rng.uniform(-1, 1, size=m)  # degree m-1
+        raw = PolynomialLink(coeffs)
+        xs = np.linspace(0, m, 201)
+        ys = raw(xs)
+        if ys.max() - ys.min() > 0.1 and abs(coeffs[-1]) > 0.1:
+            break
+    scale = 0.9 / (ys.max() - ys.min())
+    shift = 0.05 - scale * ys.min()
+    mapped = [scale * c for c in coeffs]
+    mapped[0] += shift
+    return PolynomialLink(mapped)
+
+
 def test_random_low_degree_polynomials_have_no_gap(rng):
     for m in (2, 3):
         for _ in range(3):
-            while True:
-                coeffs = rng.uniform(-1, 1, size=m)  # degree m-1
-                raw = PolynomialLink(coeffs)
-                xs = np.linspace(0, m, 201)
-                ys = raw(xs)
-                if ys.max() - ys.min() > 0.1 and abs(coeffs[-1]) > 0.1:
-                    break
-            scale = 0.9 / (ys.max() - ys.min())
-            shift = 0.05 - scale * ys.min()
-            mapped = [scale * c for c in coeffs]
-            mapped[0] += shift
-            link = PolynomialLink(mapped)
+            link = _random_low_degree_link(rng, m)
             inst = find_hard_instance(link, m=m, b=m, grid_step=1 / 25)
             assert inst.gamma <= 1e-8
+
+
+@pytest.mark.parametrize("m, q", [(5, 20), (6, 15)])
+def test_dichotomy_at_five_and_six_coordinates(m, q):
+    """The criterion-2 dichotomy past m = 4: MNL keeps a gap (about 0.0043 at
+    m = 5 and 0.0018 at m = 6), a degree-(m - 1) polynomial gets none."""
+    mnl = MnlLink()
+    inst = find_hard_instance(mnl, m=m, b=m, grid_step=1 / q)
+    assert inst.gamma > DEFAULT_GAP_TOL
+    assert verify_hard_instance(inst, mnl).valid
+    link = _random_low_degree_link(np.random.default_rng(m), m)
+    assert abs(find_hard_instance(link, m=m, b=m, grid_step=1 / q).gamma) <= 1e-8
 
 
 def test_grid_refinement_never_shrinks_gap(mnl_link):
@@ -272,6 +363,8 @@ def test_grid_refinement_never_shrinks_gap(mnl_link):
 def test_find_hard_instance_validates():
     with pytest.raises(ValueError):
         find_hard_instance(MnlLink(), m=2, b=1)
+    with pytest.raises(ValueError, match="at least one x0"):
+        find_hard_instance(MnlLink(), m=2, b=2, x0_candidates=[])
     with pytest.raises(ValueError):
         find_hard_instance(MnlLink(), m=2, b=2, grid_step=1 / 300)
     with pytest.raises(ValueError):

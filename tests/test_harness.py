@@ -326,8 +326,9 @@ _EXP2_CONFIG = {
 }
 
 
-def _count_design_builds(monkeypatch):
-    # EXP2 explores with the uniform design: count the Frank-Wolfe searches
+def test_exp2_never_runs_the_design_search(monkeypatch):
+    # EXP2 explores with the uniform design: no Frank-Wolfe search on a run or
+    # on a two-horizon sweep
     import nonlinbandit.learners as learners_mod
 
     calls = []
@@ -338,20 +339,9 @@ def _count_design_builds(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(learners_mod, "kw_optimal_design", counting)
-    return calls
-
-
-def test_exp2_design_built_once_per_cell(monkeypatch):
-    calls = _count_design_builds(monkeypatch)
     config = ExperimentConfig.from_dict(_EXP2_CONFIG)
     assert all(r.error is None for r in run_experiment(config))
-    assert calls == []
-
-
-def test_exp2_design_built_once_per_sweep(monkeypatch):
-    calls = _count_design_builds(monkeypatch)
-    config = ExperimentConfig.from_dict({**_EXP2_CONFIG, "t_grid": [50, 100]})
-    rows = run_sweep(config)
+    rows = run_sweep(ExperimentConfig.from_dict({**_EXP2_CONFIG, "t_grid": [50, 100]}))
     assert [row["T"] for row in rows] == [50, 100]
     assert calls == []
 
@@ -417,6 +407,15 @@ def test_cli_find_hard_explicit_x0(tmp_path, capsys):
     assert code == 0
     from nonlinbandit import HardInstance
     assert HardInstance.load(inst_path).x0 == pytest.approx(0.3)
+
+
+def test_cli_find_hard_empty_x0_exits_one(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    code = main(["find-hard", "--g", "mnl", "--m", "2", "--b", "2",
+                 "--x0", "--out", str(inst_path)])
+    assert code == 1
+    assert "error: need at least one x0 candidate" in capsys.readouterr().err
+    assert not inst_path.exists()
 
 
 @pytest.mark.parametrize("m, q", [(4, 200), (6, 50)])
