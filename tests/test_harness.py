@@ -326,9 +326,8 @@ _EXP2_CONFIG = {
 }
 
 
-def test_exp2_never_runs_the_design_search(monkeypatch):
-    # EXP2 explores with the uniform design: no Frank-Wolfe search on a run or
-    # on a two-horizon sweep
+def _count_design_builds(monkeypatch):
+    # EXP2 explores with the uniform design: count the Frank-Wolfe searches
     import nonlinbandit.learners as learners_mod
 
     calls = []
@@ -339,9 +338,20 @@ def test_exp2_never_runs_the_design_search(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(learners_mod, "kw_optimal_design", counting)
+    return calls
+
+
+def test_exp2_design_built_once_per_cell(monkeypatch):
+    calls = _count_design_builds(monkeypatch)
     config = ExperimentConfig.from_dict(_EXP2_CONFIG)
     assert all(r.error is None for r in run_experiment(config))
-    rows = run_sweep(ExperimentConfig.from_dict({**_EXP2_CONFIG, "t_grid": [50, 100]}))
+    assert calls == []
+
+
+def test_exp2_design_built_once_per_sweep(monkeypatch):
+    calls = _count_design_builds(monkeypatch)
+    config = ExperimentConfig.from_dict({**_EXP2_CONFIG, "t_grid": [50, 100]})
+    rows = run_sweep(config)
     assert [row["T"] for row in rows] == [50, 100]
     assert calls == []
 
