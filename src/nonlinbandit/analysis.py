@@ -7,14 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_ENUMERATION_CAP,
-    CapExceededError,
-    LinkFunction,
-    SubsetAction,
-    all_subsets,
-    n_subsets,
-)
+from .core import LinkFunction, SubsetAction, all_subsets
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +84,8 @@ def _subset_values(hidden, idx, link, prices):
     return revenue / (1.0 + util)
 
 
-def regret_of_run(records, link: LinkFunction | None = None, prices=None,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> RegretTrace:
+def regret_of_run(records, link: LinkFunction | None = None,
+                  prices=None) -> RegretTrace:
     """Exact expected-regret trace of a recorded run.
 
     Finds the fixed subset maximizing the summed expected reward over the
@@ -113,9 +106,6 @@ def regret_of_run(records, link: LinkFunction | None = None, prices=None,
         prices = np.asarray(prices, dtype=float)
         if prices.shape != (n_arms,):
             raise ValueError("prices must have one entry per arm")
-    if n_subsets(n_arms, subset_size) > cap:
-        raise CapExceededError("benchmark enumeration exceeds cap")
-
     combos, ranks = all_subsets(n_arms, subset_size)
     best_total, best_pos = -np.inf, -1
     for pos in np.argsort(ranks):  # ascending rank makes ties prefer smaller ranks

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 
 import numpy as np
 
@@ -18,7 +18,19 @@ DEFAULT_ENUMERATION_CAP = 10**7
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration would exceed the configured desk-scale cap."""
+    """An enumeration would exceed the desk-scale cap."""
+
+
+def check_enumeration(count: int, what: str):
+    """Raise :class:`CapExceededError` when ``count`` items, named in the
+    message by the plural noun phrase ``what``, exceed the cap.
+
+    The one enumeration-cap check of the package.  It reads the cap at call
+    time, and every table indexed by subsets, tensor entries or grid tuples
+    runs it before the table is built.
+    """
+    if count > DEFAULT_ENUMERATION_CAP:
+        raise CapExceededError(f"{count} {what} exceed cap {DEFAULT_ENUMERATION_CAP}")
 
 
 class LinkDomainError(ValueError):
@@ -37,22 +49,17 @@ class LinkFunction:
     """Maps the summed values of a chosen subset to an expected reward.
 
     Subclasses implement ``_eval`` on float arrays; ``__call__`` accepts
-    scalars or arrays and preserves the input shape.  ``_eval_scalar`` is the
-    plain-float path of the per-round reference and the hard-instance checks.
+    scalars or arrays and preserves the input shape.  A scalar goes through
+    ``_eval`` as a 0-d array and comes back as a float.
     """
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _eval_scalar(self, x: float) -> float:
-        return float(self._eval(np.asarray(x, dtype=float)))
-
     def __call__(self, x):
-        if isinstance(x, (float, int)):
-            return self._eval_scalar(float(x))
         arr = np.asarray(x, dtype=float)
         if arr.ndim == 0:
-            return self._eval_scalar(float(arr))
+            return float(self._eval(arr))
         return np.asarray(self._eval(arr), dtype=float)
 
 
@@ -63,12 +70,6 @@ class MnlLink(LinkFunction):
         if np.any(x < -1e-12):
             raise LinkDomainError("MNL link requires nonnegative inputs")
         x = np.maximum(x, 0.0)
-        return x / (1.0 + x)
-
-    def _eval_scalar(self, x):
-        if x < -1e-12:
-            raise LinkDomainError("MNL link requires nonnegative inputs")
-        x = max(x, 0.0)
         return x / (1.0 + x)
 
     def __repr__(self):
@@ -98,12 +99,6 @@ class PolynomialLink(LinkFunction):
 
     def _eval(self, x):
         out = np.zeros_like(x)
-        for c in reversed(self.coefficients):
-            out = out * x + c
-        return out
-
-    def _eval_scalar(self, x):
-        out = 0.0
         for c in reversed(self.coefficients):
             out = out * x + c
         return out
@@ -238,7 +233,22 @@ def colex_ranks(combos: np.ndarray, n_arms: int) -> np.ndarray:
     return ranks
 
 
-@lru_cache(maxsize=32)
+def _capped_enumeration(build):
+    """Cache ``build(n_arms, subset_size)`` and run :func:`check_enumeration`
+    on C(n_arms, subset_size) at every call, cached or not, so a lowered cap
+    also refuses a table built before it was lowered."""
+    cached = lru_cache(maxsize=32)(build)
+
+    @wraps(build)
+    def enumeration(n_arms: int, subset_size: int):
+        check_enumeration(math.comb(n_arms, subset_size),
+                          f"size-{subset_size} subsets of {n_arms} arms")
+        return cached(n_arms, subset_size)
+
+    return enumeration
+
+
+@_capped_enumeration
 def all_subsets(n_arms: int, subset_size: int) -> tuple[np.ndarray, np.ndarray]:
     """All size-K subsets as an (A, K) index array plus their colex ranks.
 
@@ -254,7 +264,7 @@ def all_subsets(n_arms: int, subset_size: int) -> tuple[np.ndarray, np.ndarray]:
     return combos, ranks
 
 
-@lru_cache(maxsize=32)
+@_capped_enumeration
 def subsets_by_rank(n_arms: int, subset_size: int) -> np.ndarray:
     """All size-K subsets as a read-only (A, K) index array whose row r is the
     subset of colexicographic rank r."""
@@ -314,16 +324,14 @@ def expected_reward(subset: SubsetAction, values, link: LinkFunction) -> float:
     return min(1.0, max(0.0, y))
 
 
-def best_subset(values, link: LinkFunction, n_arms: int, subset_size: int,
-                cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[SubsetAction, float]:
+def best_subset(values, link: LinkFunction, n_arms: int,
+                subset_size: int) -> tuple[SubsetAction, float]:
     """Exact argmax of the expected reward over all size-K subsets.
 
     Ties break toward the smallest colexicographic rank.  Raises
-    :class:`CapExceededError` when C(N, K) exceeds ``cap``.
+    :class:`CapExceededError` when C(N, K) exceeds the enumeration cap.
     """
-    count = n_subsets(n_arms, subset_size)
-    if count > cap:
-        raise CapExceededError(f"C({n_arms},{subset_size})={count} exceeds cap {cap}")
+    _validate_dims(n_arms, subset_size)
     v = np.asarray(values, dtype=float)
     check_unit_interval(v, "reward-vector entries")
     if v.size != n_arms:
@@ -341,8 +349,7 @@ def best_subset(values, link: LinkFunction, n_arms: int, subset_size: int,
 # Tensorization
 # ---------------------------------------------------------------------------
 
-def tensor_features(subset: SubsetAction, n_arms: int, order: int,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def tensor_features(subset: SubsetAction, n_arms: int, order: int) -> np.ndarray:
     """Flattened ``order``-fold tensor power of the subset indicator vector.
 
     Entry at multi-index (i_1, ..., i_d) is 1 iff every i_j belongs to the
@@ -350,8 +357,7 @@ def tensor_features(subset: SubsetAction, n_arms: int, order: int,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if n_arms ** order > cap:
-        raise CapExceededError(f"{n_arms}**{order} exceeds cap {cap}")
+    check_enumeration(n_arms ** order, f"order-{order} tensor entries")
     ind = np.zeros(n_arms)
     ind[list(subset.indices)] = 1.0
     out = ind
@@ -360,8 +366,8 @@ def tensor_features(subset: SubsetAction, n_arms: int, order: int,
     return out
 
 
-def lift_reward_vector(values, link: PolynomialLink, subset_size: int, order: int,
-                       cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def lift_reward_vector(values, link: PolynomialLink, subset_size: int,
+                       order: int) -> np.ndarray:
     """Tensor coefficient vector whose pairing with any subset's order-d feature
     reproduces the polynomial reward of that subset exactly.
 
@@ -377,8 +383,7 @@ def lift_reward_vector(values, link: PolynomialLink, subset_size: int, order: in
         raise ValueError(f"polynomial degree {link.degree} exceeds tensor order {order}")
     v = np.asarray(values, dtype=float)
     n = v.size
-    if n ** order > cap:
-        raise CapExceededError(f"{n}**{order} exceeds cap {cap}")
+    check_enumeration(n ** order, f"order-{order} tensor entries")
     base = np.full(n, 1.0 / subset_size)
     lifted = np.zeros(n ** order)
     for j, coeff in enumerate(link.coefficients):

@@ -18,12 +18,7 @@ import numpy as np
 
 from .analysis import bernoulli_kl
 from .core import LinkFunction, SubsetAction, check_unit_interval
-from .hardinstances import (
-    DEFAULT_EQ_TOL,
-    DEFAULT_GAP_TOL,
-    HardInstance,
-    verify_hard_instance,
-)
+from .hardinstances import HardInstance, verify_hard_instance
 
 
 @dataclass
@@ -116,7 +111,7 @@ class HardMixtureAdversary(Adversary):
     ``planted`` has ``instance.m`` arms: equal to the action size K for the
     general construction, or smaller for the low-degree polynomial variant
     where any action covering the planted set is optimal.  Refuses instances
-    that fail independent verification.
+    that fail independent verification at the default tolerances.
 
     A round takes ``m + 2`` uniforms: the planted test (planted when below
     ``delta``), the atom draw (inverse CDF over the weights), and m keys
@@ -124,8 +119,7 @@ class HardMixtureAdversary(Adversary):
     """
 
     def __init__(self, instance: HardInstance, link: LinkFunction, planted,
-                 delta: float, n_arms: int, subset_size: int,
-                 tol_eq: float = DEFAULT_EQ_TOL, tol_gap: float = DEFAULT_GAP_TOL):
+                 delta: float, n_arms: int, subset_size: int):
         if not 0 < delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
         planted = tuple(sorted(int(i) for i in planted))
@@ -137,7 +131,7 @@ class HardMixtureAdversary(Adversary):
             raise ValueError("instance shift budget must equal the action size")
         if instance.m > subset_size:
             raise ValueError("planted subset cannot exceed the action size")
-        report = verify_hard_instance(instance, link, tol_eq, tol_gap)
+        report = verify_hard_instance(instance, link)
         if not report.valid:
             raise ValueError(f"refusing INVALID instance:\n{report}")
         self.instance = instance
@@ -288,24 +282,24 @@ def mnl_mixture_choice_law(instance: HardInstance, delta: float, overlap: int,
 # Perturbation schedule
 # ---------------------------------------------------------------------------
 
-def kl_coefficient(instance: HardInstance, link: LinkFunction,
-                   deltas=None) -> float:
+KL_DELTAS = np.arange(1, 101) / 100.0
+
+
+def kl_coefficient(instance: HardInstance, link: LinkFunction) -> float:
     """Coefficient bounding the per-round KL between the uninformative and the
     planted-subset Bernoulli laws: KL <= (coeff * delta)**2 on the scanned
     mixture weights.
 
-    Takes the supremum of sqrt(KL(q, q + delta * gamma)) / delta over a delta
-    grid; the ratio is increasing in delta, so the bound extends to every
-    smaller mixture weight.
+    Takes the supremum of sqrt(KL(q, q + delta * gamma)) / delta over the
+    delta grid ``KL_DELTAS`` (0.01, 0.02, ..., 1); the ratio is increasing in
+    delta, so the bound extends to every smaller mixture weight.
     """
     q = instance.baseline(link)
     gamma = instance.gamma
     if gamma <= 0:
         raise ValueError("instance gap must be positive")
-    if deltas is None:
-        deltas = np.arange(1, 101) / 100.0
     best = 0.0
-    for d in deltas:
+    for d in KL_DELTAS:
         alt = q + d * gamma
         if alt >= 1.0 - 1e-12:
             continue

@@ -19,13 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    DEFAULT_ENUMERATION_CAP,
-    CapExceededError,
-    LinkFunction,
-    all_subsets,
-    subset_sums,
-)
+from .core import LinkFunction, all_subsets, check_enumeration, subset_sums
 
 DEFAULT_X0_CANDIDATES = tuple(round(0.05 * k, 2) for k in range(1, 20))
 DEFAULT_EQ_TOL = 1e-8
@@ -61,9 +55,13 @@ class LpProblem:
 
 
 _STALL_LIMIT = 25
+# Optimality: every reduced cost at most PRICING_TOL.  A solve of an LP with
+# n columns gives up after BASE_PIVOTS + 5 n pivots per phase.
+PRICING_TOL = 1e-9
+BASE_PIVOTS = 5_000
 
 
-def _simplex_phase(A, b, c, basis, tol, max_iters):
+def _simplex_phase(A, b, c, basis, max_iters):
     """Primal simplex from a feasible basis; Dantzig pricing with a switch to
     Bland's rule after a run of degenerate (non-improving) pivots."""
     r, _ = A.shape
@@ -84,13 +82,13 @@ def _simplex_phase(A, b, c, basis, tol, max_iters):
         reduced[basis] = 0.0
         bland = stall >= _STALL_LIMIT
         if bland:
-            improving = np.nonzero(reduced > tol)[0]
+            improving = np.nonzero(reduced > PRICING_TOL)[0]
             if improving.size == 0:
                 return basis, x_b, iteration
             enter = int(improving[0])
         else:
             enter = int(np.argmax(reduced))
-            if reduced[enter] <= tol:
+            if reduced[enter] <= PRICING_TOL:
                 return basis, x_b, iteration
 
         direction = np.linalg.solve(B, A[:, enter])
@@ -113,13 +111,12 @@ _START_COND_LIMIT = 1e10
 _START_NEG_TOL = 1e-9
 
 
-def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iters: int | None = None,
-             start=None) -> tuple[np.ndarray, float]:
+def solve_lp(problem: LpProblem, start=None) -> tuple[np.ndarray, float]:
     """Optimal basic feasible solution of the LP in ``problem``.
 
     Dense primal simplex.  Termination requires every reduced cost to be
-    <= ``tol``, which certifies dual feasibility of the returned basis.
-    Returns (weights, objective value).
+    <= ``PRICING_TOL``, which certifies dual feasibility of the returned
+    basis.  Returns (weights, objective value).
 
     ``start`` optionally names a feasible basis: one distinct column index
     per row of ``eq_matrix``.  When its basis matrix has condition number at
@@ -138,12 +135,11 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, max_iters: int | None = None
     """
     A, b, c = problem.eq_matrix, problem.eq_rhs, problem.objective
     n = A.shape[1]
-    if max_iters is None:
-        max_iters = 5_000 + 5 * n
+    max_iters = BASE_PIVOTS + 5 * n
     basis = None if start is None else _feasible_start(A, b, start)
     if basis is None:
-        A, b, basis = _phase_one(A, b, tol, max_iters)
-    basis, x_b, iters = _simplex_phase(A, b, c, basis, tol, max_iters)
+        A, b, basis = _phase_one(A, b, max_iters)
+    basis, x_b, iters = _simplex_phase(A, b, c, basis, max_iters)
     weights = np.zeros(n)
     weights[basis] = x_b
     if np.any(weights < -1e-9):
@@ -167,7 +163,7 @@ def _feasible_start(A, b, start):
     return basis
 
 
-def _phase_one(A, b, tol, max_iters):
+def _phase_one(A, b, max_iters):
     """Feasible basis by the artificial-variable phase 1.
 
     Returns the row-flipped constraint arrays, with redundant rows removed,
@@ -183,7 +179,7 @@ def _phase_one(A, b, tol, max_iters):
     A1 = np.hstack([A, np.eye(r)])
     c1 = np.concatenate([np.zeros(n), -np.ones(r)])
     basis = list(range(n, n + r))
-    basis, x_b, _ = _simplex_phase(A1, b, c1, np.array(basis), tol, max_iters)
+    basis, x_b, _ = _simplex_phase(A1, b, c1, np.array(basis), max_iters)
     basis = list(basis)
     if float(c1[np.array(basis)] @ x_b) < -1e-7:
         raise SimplexError("LP infeasible (artificial variables remain positive)")
@@ -258,25 +254,29 @@ def comb_identity_residual(coefficients, y) -> float:
     return float(total)
 
 
-def identity_battery(trials: int = 500, m_values=(2, 3, 4, 5, 6), seed: int = 0) -> dict:
+BATTERY_M_VALUES = (2, 3, 4, 5, 6)
+
+
+def identity_battery(trials: int = 500, seed: int = 0) -> dict:
     """Randomized check of the alternating identity and its degree-m failure.
 
     Draws ``trials`` polynomials of degree <= m-1 (identity should hold to
     float precision) and ``trials`` counterexamples of exact degree m with
-    leading coefficient bounded away from zero.
+    leading coefficient bounded away from zero, each at an m drawn from
+    ``BATTERY_M_VALUES``.
     """
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     max_resid = 0.0
     for _ in range(trials):
-        m = int(rng.choice(m_values))
+        m = int(rng.choice(BATTERY_M_VALUES))
         degree = int(rng.integers(0, m))
         coeffs = rng.uniform(-1, 1, size=degree + 1)
         y = rng.uniform(0, 1, size=m)
         max_resid = max(max_resid, abs(comb_identity_residual(coeffs, y)))
     exceed = 0
     for _ in range(trials):
-        m = int(rng.choice(m_values))
+        m = int(rng.choice(BATTERY_M_VALUES))
         coeffs = rng.uniform(-1, 1, size=m + 1)
         coeffs[-1] = float(rng.choice([-1.0, 1.0])) * rng.uniform(0.5, 1.0)
         y = rng.uniform(0, 1, size=m)
@@ -474,14 +474,13 @@ def _grid_values(grid_step: float, x0: float) -> np.ndarray:
     return np.unique(np.append(grid, x0))
 
 
-def _x0_problem(link, m, b, grid_step, x0):
-    """The LP of one base level ``x0``: maximize the depth-m moment over
-    weights on the sorted grid tuples, with the depths 1..m-1 pinned to
-    ``g(b * x0)`` and the weights summing to 1.
+def _x0_problem(link, m, b, grid, x0):
+    """The LP of one base level ``x0`` on its ``grid`` (:func:`_grid_values`):
+    maximize the depth-m moment over weights on the sorted grid tuples, with
+    the depths 1..m-1 pinned to ``g(b * x0)`` and the weights summing to 1.
 
-    Returns (grid, sorted index tuples, symmetrized columns, target, problem).
+    Returns (sorted index tuples, symmetrized columns, target, problem).
     """
-    grid = _grid_values(grid_step, x0)
     tuples = _sorted_tuples(grid.size, m)
     cols = _symmetrized_columns(link, grid, m, x0, b)
     target = float(link(b * x0))
@@ -489,7 +488,7 @@ def _x0_problem(link, m, b, grid_step, x0):
     rows = [cols[level - 1] for level in range(1, m)] + [np.ones(n)]
     rhs = np.array([target] * (m - 1) + [1.0])
     problem = LpProblem(objective=cols[m - 1], eq_matrix=np.vstack(rows), eq_rhs=rhs)
-    return grid, tuples, cols, target, problem
+    return tuples, cols, target, problem
 
 
 _CRASH_POOL = 256
@@ -531,8 +530,8 @@ def _crash_basis(grid: np.ndarray, x0: float, matrix: np.ndarray) -> list[int]:
     return basis
 
 
-def _solve_for_x0(link, m, b, grid_step, x0):
-    grid, tuples, cols, target, problem = _x0_problem(link, m, b, grid_step, x0)
+def _solve_for_x0(link, m, b, grid, x0):
+    tuples, cols, target, problem = _x0_problem(link, m, b, grid, x0)
     weights, _ = solve_lp(problem, start=_crash_basis(grid, x0, problem.eq_matrix))
     keep = weights > 1e-14
     support = grid[tuples[keep]]
@@ -559,8 +558,8 @@ def find_hard_instance(link: LinkFunction, m: int, b: int, grid_step: float = 0.
 
     Raises ``ValueError`` for an empty candidate list, and
     :class:`CapExceededError`, before any tuple is enumerated, when a
-    candidate's grid of G points has more than ``DEFAULT_ENUMERATION_CAP``
-    sorted m-tuples, C(G + m - 1, m).
+    candidate's grid of G points has more sorted m-tuples, C(G + m - 1, m),
+    than the enumeration cap.
     """
     if m < 1 or b < m:
         raise ValueError("need m >= 1 and b >= m")
@@ -569,18 +568,17 @@ def find_hard_instance(link: LinkFunction, m: int, b: int, grid_step: float = 0.
     x0_candidates = [float(x0) for x0 in x0_candidates]
     if not x0_candidates:
         raise ValueError("need at least one x0 candidate")
+    grids = []
     for x0 in x0_candidates:
         if not 0 < x0 < 1:
             raise ValueError("x0 candidates must lie in (0, 1)")
-        n_values = _grid_values(grid_step, x0).size
-        count = math.comb(n_values + m - 1, m)
-        if count > DEFAULT_ENUMERATION_CAP:
-            raise CapExceededError(
-                f"C({n_values + m - 1},{m})={count} sorted grid tuples exceed "
-                f"cap {DEFAULT_ENUMERATION_CAP}")
+        grid = _grid_values(grid_step, x0)
+        check_enumeration(math.comb(grid.size + m - 1, m),
+                          f"sorted {m}-tuples of {grid.size} grid points")
+        grids.append(grid)
     best = None
-    for x0 in x0_candidates:
-        inst = _solve_for_x0(link, m, b, grid_step, x0)
+    for x0, grid in zip(x0_candidates, grids):
+        inst = _solve_for_x0(link, m, b, grid, x0)
         if best is None or inst.gamma > best.gamma:
             best = inst
     return best

@@ -54,7 +54,7 @@ from .learners import ConstantPolicy, Exp2, SubsetMab
 HARD_KINDS = ("hard_nonpoly", "hard_poly", "mnl_hard")
 ADVERSARY_KINDS = HARD_KINDS + ("mnl_general", "oblivious", "stochastic")
 # The ``params`` keys each algorithm accepts; any other key is an error.
-ALGORITHM_PARAMS = {"exp3": ("mixing",), "tsallis_inf": ("mixing",),
+ALGORITHM_PARAMS = {"exp3": ("mixing",), "tsallis_inf": (),
                     "exp2": ("eta", "gamma_mix"), "constant": ("subset",)}
 
 RUN_CSV_HEADER = "run_id,seed,t,subset_rank,reward,inst_regret,cum_regret"
@@ -202,6 +202,8 @@ def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction,
     if kind in ("mnl_general", "oblivious"):
         schedule = (np.asarray(spec["schedule"], dtype=float) if "schedule" in spec
                     else load_utility_schedule(spec["schedule_csv"], dims.n_arms))
+        if schedule.ndim != 2 or schedule.shape[1] != dims.n_arms:
+            raise ValueError(f"schedule rows must have one entry per arm ({dims.n_arms})")
         if schedule.shape[0] < horizon:
             raise ValueError(f"schedule covers {schedule.shape[0]} rounds, "
                              f"horizon needs {horizon}")
@@ -212,7 +214,10 @@ def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction,
             raise ValueError("prices must have one entry per arm")
         return ObliviousAdversary(schedule), prices
     if kind == "stochastic":
-        return StochasticAdversary(np.asarray(spec["v"], dtype=float)), None
+        values = np.asarray(spec["v"], dtype=float)
+        if values.shape != (dims.n_arms,):
+            raise ValueError(f"v must have one entry per arm ({dims.n_arms})")
+        return StochasticAdversary(values), None
     raise ValueError(f"unknown adversary kind {kind!r}")
 
 
@@ -393,11 +398,13 @@ def reference_replication(config: ExperimentConfig, algo_spec: dict, horizon: in
 
 
 def _validate_builds(config: ExperimentConfig, horizon: int):
-    """Fail fast on configuration problems before any replication starts."""
+    """Fail fast before any replication starts: on configuration problems,
+    and on a subset enumeration past the cap, which every cell runs."""
     link = build_link(config.link_spec)
     build_adversary(config.adversary_spec, config.dims, link, horizon)
     for spec in config.algorithm_specs:
         build_learner(spec, config.dims, horizon, link)
+    subsets_by_rank(config.dims.n_arms, config.dims.subset_size)
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunResult]:

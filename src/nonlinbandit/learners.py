@@ -22,10 +22,9 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    DEFAULT_ENUMERATION_CAP,
-    CapExceededError,
     SubsetAction,
     all_subsets,
+    check_enumeration,
     check_unit_interval,
     colex_ranks,
     n_subsets,
@@ -81,11 +80,16 @@ class _Batched:
 # Multi-armed play over all subsets
 # ---------------------------------------------------------------------------
 
-def tsallis_distribution(cum_losses, eta: float, tol: float = 1e-12,
-                         max_iters: int = 300) -> np.ndarray:
+# The Tsallis normalization stops once the weights sum to 1 within
+# TSALLIS_TOL, and raises after TSALLIS_MAX_ITERS evaluations.
+TSALLIS_TOL = 1e-12
+TSALLIS_MAX_ITERS = 300
+
+
+def tsallis_distribution(cum_losses, eta: float) -> np.ndarray:
     """Weights 4 / (eta * (L_i - x))**2 with the normalization scalar x solved
     by safeguarded Newton/bisection from a cold start so the weights sum to 1
-    within ``tol``: the reference for :func:`tsallis_rows`.
+    within ``TSALLIS_TOL``: the reference for :func:`tsallis_rows`.
 
     The sum is increasing in x on (-inf, min L), and the bracket
     [min L - 2 sqrt(A)/eta, min L - 2/(eta sqrt(A))] always contains the
@@ -100,10 +104,10 @@ def tsallis_distribution(cum_losses, eta: float, tol: float = 1e-12,
     lo = -2.0 * math.sqrt(n) / eta
     hi = -2.0 / (eta * math.sqrt(n))
     x = 0.5 * (lo + hi)
-    for _ in range(max_iters):
+    for _ in range(TSALLIS_MAX_ITERS):
         w = 4.0 / (eta * (gaps - x)) ** 2
         resid = float(w.sum()) - 1.0
-        if abs(resid) <= tol:
+        if abs(resid) <= TSALLIS_TOL:
             return w
         if resid > 0:
             hi = x
@@ -113,12 +117,11 @@ def tsallis_distribution(cum_losses, eta: float, tol: float = 1e-12,
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         x = x_new
-    raise RuntimeError(f"normalization did not converge within {max_iters} iterations "
-                       f"(residual {resid:.3e})")
+    raise RuntimeError(f"normalization did not converge within {TSALLIS_MAX_ITERS} "
+                       f"iterations (residual {resid:.3e})")
 
 
-def tsallis_rows(cum_losses, eta: float, start=None, tol: float = 1e-12,
-                 max_iters: int = 300) -> tuple[np.ndarray, np.ndarray]:
+def tsallis_rows(cum_losses, eta: float, start=None) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise Tsallis-INF distributions of an (R, A) batch of cumulative
     losses; returns the distributions and the normalizers x (shape (R,)).
 
@@ -128,9 +131,10 @@ def tsallis_rows(cum_losses, eta: float, start=None, tol: float = 1e-12,
     the left lands on its right.  The start is the previous normalizer
     ``start`` (warm start) capped at min L - 2/(eta sqrt(A)), where s >= A
     >= 1, i.e. never left of the root; without ``start`` the cap itself.  A
-    row that meets |s - 1| <= ``tol`` is frozen while its siblings iterate,
-    so its bits never depend on them; the weights are then divided by s.
-    Raises after ``max_iters`` evaluations if any row is still off.
+    row that meets |s - 1| <= ``TSALLIS_TOL`` is frozen while its siblings
+    iterate, so its bits never depend on them; the weights are then divided
+    by s.  Raises after ``TSALLIS_MAX_ITERS`` evaluations if any row is still
+    off.
     """
     losses = np.asarray(cum_losses, dtype=float)
     lmin = losses.min(axis=1, keepdims=True)
@@ -142,21 +146,21 @@ def tsallis_rows(cum_losses, eta: float, start=None, tol: float = 1e-12,
     y = (np.full_like(lmin, cap) if start is None
          else np.minimum(np.asarray(start, dtype=float)[:, None] - lmin, cap))
     scale = 4.0 / (eta * eta)
-    for _ in range(max_iters):
+    for _ in range(TSALLIS_MAX_ITERS):
         inv = 1.0 / (gaps - y)
         inv2 = inv * inv
         s2 = np.add.reduce(inv2, axis=1, keepdims=True)
         total = scale * s2  # s(y)
         resid = np.abs(total - 1.0)[:, 0].tolist()
-        done = [r <= tol for r in resid]  # NaN is never done
+        done = [r <= TSALLIS_TOL for r in resid]  # NaN is never done
         if all(done):
             return inv2 * (scale / total), (lmin + y)[:, 0]
         # Newton on s**-1/2: y + 2 s (1 - sqrt s) / s'(y), s' = 2 scale S3
         s3 = np.add.reduce(inv2 * inv, axis=1, keepdims=True)
         step = np.minimum(y + s2 * (1.0 - np.sqrt(total)) / s3, cap)
         y = np.where(np.array(done)[:, None], y, step) if any(done) else step
-    raise RuntimeError(f"normalization did not converge within {max_iters} iterations "
-                       f"(largest residual {max(resid):.3e})")
+    raise RuntimeError(f"normalization did not converge within {TSALLIS_MAX_ITERS} "
+                       f"iterations (largest residual {max(resid):.3e})")
 
 
 class SubsetMab(_Batched):
@@ -165,7 +169,8 @@ class SubsetMab(_Batched):
     ``algorithm`` picks the weight map: ``exp3`` uses exponential weights with
     the anytime rate sqrt(ln A / (A t)) and optional uniform mixing;
     ``tsallis_inf`` uses the 1/2-Tsallis mirror map with rate 2/sqrt(t),
-    normalized by :func:`tsallis_rows` warm-started from the previous round.
+    normalized by :func:`tsallis_rows` warm-started from the previous round,
+    and takes no mixing.
     Updates apply the importance-weighted loss estimate (1 - reward)/p to the
     played arm only.  ``losses`` holds the (R, A) cumulative loss estimates;
     ``cum_losses`` is its single row when R = 1.
@@ -174,15 +179,15 @@ class SubsetMab(_Batched):
     algorithms = ("exp3", "tsallis_inf")
 
     def __init__(self, n_arms: int, subset_size: int, algorithm: str = "exp3",
-                 mixing: float = 0.0, cap: int = DEFAULT_ENUMERATION_CAP,
-                 replications: int = 1):
+                 mixing: float = 0.0, replications: int = 1):
         if algorithm not in self.algorithms:
             raise ValueError(f"algorithm must be one of {self.algorithms}")
         count = n_subsets(n_arms, subset_size)
-        if count > cap:
-            raise CapExceededError(f"{count} subset arms exceed cap {cap}")
+        check_enumeration(count, "subset arms")
         if not 0.0 <= mixing < 1.0:
             raise ValueError("mixing must lie in [0, 1)")
+        if mixing and algorithm == "tsallis_inf":
+            raise ValueError("tsallis_inf takes no mixing")
         self.n_arms = n_arms
         self.subset_size = subset_size
         self.algorithm = algorithm
@@ -330,14 +335,13 @@ class Exp2(_Batched):
 
     def __init__(self, n_arms: int, subset_size: int, order: int, horizon: int,
                  eta: float | None = None, gamma_mix: float | None = None,
-                 cap: int = DEFAULT_ENUMERATION_CAP, replications: int = 1):
+                 replications: int = 1):
         if order < 1:
             raise ValueError("order must be >= 1")
         count = n_subsets(n_arms, subset_size)
         level = min(order, subset_size, n_arms - subset_size)
         width = math.comb(n_arms, level)
-        if count * width > cap:
-            raise CapExceededError(f"{count} x {width} inclusion matrix exceeds cap {cap}")
+        check_enumeration(count * width, f"entries of the {count} x {width} inclusion matrix")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         self.n_arms = n_arms

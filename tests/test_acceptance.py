@@ -42,7 +42,7 @@ def _report(number: int, ok: bool, detail: str):
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_identity_battery():
-    summary = identity_battery(trials=500, m_values=(2, 3, 4, 5, 6), seed=0)
+    summary = identity_battery(trials=500, seed=0)
     ok = (summary["max_low_degree_residual"] <= 1e-9
           and summary["counterexample_fraction"] >= 0.95
           and summary["elapsed_s"] < 5.0)

@@ -22,6 +22,7 @@ from nonlinbandit import (
     tensor_features,
     unrank_subset,
 )
+from nonlinbandit import core
 from nonlinbandit.core import DEFAULT_ENUMERATION_CAP, all_subsets, colex_ranks, subsets_by_rank
 
 
@@ -264,9 +265,21 @@ def test_best_subset_dominates_every_subset():
             assert value >= expected_reward(s, v, g) - 1e-12
 
 
-def test_best_subset_cap():
+def test_enumeration_cap_is_checked_on_cached_tables(monkeypatch):
+    # tables built before the cap was lowered are refused all the same
+    all_subsets(5, 2)
+    subsets_by_rank(5, 2)
+    monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", math.comb(5, 2) - 1)
+    for enumeration in (all_subsets, subsets_by_rank):
+        with pytest.raises(CapExceededError, match="10 size-2 subsets of 5 arms exceed cap 9"):
+            enumeration(5, 2)
+
+
+def test_best_subset_cap(monkeypatch):
+    # C(30, 3) = 4060 is under the default cap and over the lowered one
+    monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", 1000)
     with pytest.raises(CapExceededError):
-        best_subset(np.zeros(30), MnlLink(), 30, 15, cap=1000)
+        best_subset(np.zeros(30), MnlLink(), 30, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +296,13 @@ def test_tensor_features_order_two_single_arm():
     assert np.array_equal(tensor_features(s, 2, 2), [1, 0, 0, 0])
 
 
-def test_tensor_features_counts_and_cap():
+def test_tensor_features_counts_and_cap(monkeypatch):
     s = SubsetAction.from_indices((1, 3), 5)
     feats = tensor_features(s, 5, 2)
     assert feats.sum() == 4  # K**d ones
+    monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", 10)
     with pytest.raises(CapExceededError):
-        tensor_features(s, 5, 2, cap=10)
+        tensor_features(s, 5, 2)
 
 
 def test_tensor_inner_product_identity(rng):

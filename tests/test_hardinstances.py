@@ -124,7 +124,8 @@ def test_solve_lp_matches_highs_on_search_lps(link_kind, m, q):
     link = {"mnl": MnlLink(), "linear": PolynomialLink([0.0, 0.3]),
             "poly": _LOW_DEGREE[m]}[link_kind]
     for x0 in DEFAULT_X0_CANDIDATES:
-        grid, *_, problem = hardinstances._x0_problem(link, m, m, 1 / q, x0)
+        grid = hardinstances._grid_values(1 / q, x0)
+        *_, problem = hardinstances._x0_problem(link, m, m, grid, x0)
         dual = optimize.linprog(
             problem.eq_rhs, A_ub=-problem.eq_matrix.T, b_ub=-problem.objective,
             bounds=(None, None), method="highs",
@@ -182,8 +183,8 @@ def test_solve_lp_good_start_skips_phase_one(monkeypatch):
 def test_solve_lp_singular_crash_start_falls_back_on_linear_link(monkeypatch, x0):
     # A linear link's depth-1 and depth-2 rows are both affine in the tuple
     # mean, so with the ones row every 3-column basis is singular.
-    grid, *_, problem = hardinstances._x0_problem(PolynomialLink([0.0, 0.3]), 3, 3,
-                                                  1 / 50, x0)
+    grid = hardinstances._grid_values(1 / 50, x0)
+    *_, problem = hardinstances._x0_problem(PolynomialLink([0.0, 0.3]), 3, 3, grid, x0)
     start = hardinstances._crash_basis(grid, x0, problem.eq_matrix)
     assert np.linalg.cond(problem.eq_matrix[:, start]) > 1e10
     calls = _count_phase_one(monkeypatch)
@@ -197,7 +198,8 @@ def test_solve_lp_singular_crash_start_falls_back_on_linear_link(monkeypatch, x0
 def test_crash_basis_holds_the_diagonal_and_is_nonsingular(monkeypatch, m, q):
     calls = _count_phase_one(monkeypatch)
     for x0 in DEFAULT_X0_CANDIDATES:
-        grid, tuples, _, _, problem = hardinstances._x0_problem(MnlLink(), m, m, 1 / q, x0)
+        grid = hardinstances._grid_values(1 / q, x0)
+        tuples, _, _, problem = hardinstances._x0_problem(MnlLink(), m, m, grid, x0)
         start = hardinstances._crash_basis(grid, x0, problem.eq_matrix)
         diagonal = np.flatnonzero(np.all(grid[tuples] == x0, axis=1))
         assert diagonal.tolist() == [start[0]], f"x0={x0}"
@@ -449,15 +451,11 @@ class _CountingLink(LinkFunction):
         self.values += x.size
         return self.inner._eval(x)
 
-    def _eval_scalar(self, x):
-        self.values += 1
-        return self.inner._eval_scalar(x)
-
 
 def test_x0_problem_evaluates_each_distinct_sum_once():
     m, q, x0 = 4, 25, 0.35
     link = _CountingLink(MnlLink())
-    hardinstances._x0_problem(link, m, m, 1 / q, x0)
+    hardinstances._x0_problem(link, m, m, hardinstances._grid_values(1 / q, x0), x0)
     n_values = q + 2  # x0 is off the grid
     n = math.comb(n_values + m - 1, m)
     assert link.values <= sum(n_values ** level for level in range(1, m)) + n

@@ -358,7 +358,7 @@ def test_exp2_design_built_once_per_sweep(monkeypatch):
 
 @pytest.mark.parametrize("algo,key", [("exp2", "design_eps"), ("exp2", "gama_mix"),
                                       ("exp3", "eta"), ("tsallis_inf", "gamma_mix"),
-                                      ("constant", "mixing")])
+                                      ("tsallis_inf", "mixing"), ("constant", "mixing")])
 def test_unknown_learner_params_rejected(algo, key):
     params = {key: 0.05, **({"subset": [0, 1]} if algo == "constant" else {})}
     config = ExperimentConfig.from_dict({**_EXP2_CONFIG,
@@ -367,6 +367,30 @@ def test_unknown_learner_params_rejected(algo, key):
         run_experiment(config)
     for accepted in ALGORITHM_PARAMS[algo]:
         assert repr(accepted) in str(err.value)
+
+
+# A non-default value of every accepted ``params`` key; the default run of
+# ``constant`` plays the subset [0, 1].
+_NON_DEFAULT_PARAMS = {("exp3", "mixing"): 0.5, ("exp2", "eta"): 0.5,
+                       ("exp2", "gamma_mix"): 0.9, ("constant", "subset"): [2, 3]}
+
+
+@pytest.mark.parametrize("algo,key", [(algo, key) for algo, keys in ALGORITHM_PARAMS.items()
+                                      for key in keys])
+def test_every_accepted_param_changes_a_run(algo, key):
+    # an accepted key that a learner ignores would be a silent no-op
+    default = {"subset": [0, 1]} if algo == "constant" else {}
+
+    def checkpoints(params):
+        config = ExperimentConfig.from_dict({**_EXP2_CONFIG, "replications": 1,
+                                             "algorithms": [{"name": algo,
+                                                             "params": params}]})
+        (result,) = run_experiment(config)
+        assert result.error is None
+        return result.checkpoints
+
+    changed = {**default, key: _NON_DEFAULT_PARAMS[(algo, key)]}
+    assert checkpoints(changed) != checkpoints(default)
 
 
 def test_negative_base_seed_rejected():
@@ -541,6 +565,43 @@ def test_cli_unknown_learner_param_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "gama_mix" in err and "gamma_mix" in err
+
+
+@pytest.mark.parametrize("kind, width", [
+    ("stochastic", 4), ("stochastic", 6), ("oblivious", 4), ("oblivious", 6),
+    ("mnl_general", 4), ("mnl_general", 6),
+])
+def test_cli_adversary_width_mismatch_exits_one(tmp_path, capsys, kind, width):
+    # N = 5: a wider vector must not run on its first N columns, and a
+    # narrower one must not fail every replication with an IndexError
+    values = [0.1 * (i + 1) for i in range(width)]
+    adversary = ({"kind": "stochastic", "v": values} if kind == "stochastic"
+                 else {"kind": kind, "schedule": [values] * 50})
+    if kind == "mnl_general":
+        adversary["prices"] = [1.0] * 5
+    cfg = tmp_path / "width.json"
+    cfg.write_text(json.dumps({**_EXP2_CONFIG, "adversary": adversary,
+                               "algorithms": [{"name": "exp3", "params": {}}]}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "one entry per arm (5)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", [{"name": "constant", "params": {"subset": [0, 1]}},
+                                  {"name": "exp3", "params": {}}])
+def test_cli_run_exits_two_past_the_enumeration_cap(tmp_path, monkeypatch, capsys, algo):
+    # C(5, 2) = 10 subsets; the cap stops the run before any replication,
+    # whether or not the learner enumerates the subsets itself
+    from nonlinbandit import core
+
+    monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", 9)
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps({**_EXP2_CONFIG, "algorithms": [algo]}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "FAILED" not in captured.out and "run 0" not in captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("runtime failure:")
+    assert "exceed cap 9" in lines[0]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -19,6 +19,7 @@ from nonlinbandit import (
     tsallis_rows,
     unrank_subset,
 )
+from nonlinbandit import core, learners
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,13 @@ def test_exp3_mixing_floor():
     for _ in range(50):
         learner.update(arm1, 0.0)
     assert learner.distribution().min() >= 0.1 - 1e-12
+
+
+def test_tsallis_inf_rejects_mixing():
+    # Tsallis-INF has no mixing step, so a nonzero mixing would be ignored
+    with pytest.raises(ValueError, match="tsallis_inf takes no mixing"):
+        SubsetMab(5, 2, "tsallis_inf", mixing=0.1)
+    assert SubsetMab(5, 2, "tsallis_inf", mixing=0.0).mixing == 0.0
 
 
 def test_tsallis_equal_losses_uniform():
@@ -110,9 +118,10 @@ def test_tsallis_rows_batch_matches_solo_and_reference(batch):
             assert abs(got.sum() - 1.0) <= 1e-12
 
 
-def test_tsallis_rows_raises_without_convergence():
+def test_tsallis_rows_raises_without_convergence(monkeypatch):
+    monkeypatch.setattr(learners, "TSALLIS_MAX_ITERS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
-        tsallis_rows(np.array([[0.0, 1.0, 5.0]]), 0.5, max_iters=1)
+        tsallis_rows(np.array([[0.0, 1.0, 5.0]]), 0.5)
 
 
 def test_tsallis_prefers_low_loss():
@@ -292,12 +301,14 @@ def test_exp2_rejects_bad_arguments(kwargs, message):
         Exp2(**{"n_arms": 5, "subset_size": 2, "order": 1, "horizon": 100, **kwargs})
 
 
-def test_exp2_cap_counts_the_inclusion_matrix():
+def test_exp2_cap_counts_the_inclusion_matrix(monkeypatch):
     # at (6, 5, 2), d' = min(2, 5, 1) = 1: W is 6 x C(6, 1), not 6 x 6**2
     size = 6 * math.comb(6, 1)
+    monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", size - 1)
     with pytest.raises(CapExceededError):
-        Exp2(6, 5, 2, horizon=100, cap=size - 1)
-    assert Exp2(6, 5, 2, horizon=100, cap=size).inclusion.shape == (6, 6)
+        Exp2(6, 5, 2, horizon=100)
+    monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", size)
+    assert Exp2(6, 5, 2, horizon=100).inclusion.shape == (6, 6)
 
 
 _PINV_KEYS = [(4, 1, 1), (5, 2, 2), (7, 3, 2), (8, 3, 1), (6, 3, 3), (6, 5, 2)]
