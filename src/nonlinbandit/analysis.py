@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinkFunction, SubsetAction, all_subsets
+from .core import LinkFunction, SubsetAction, subsets_by_rank
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +106,15 @@ def regret_of_run(records, link: LinkFunction | None = None,
         prices = np.asarray(prices, dtype=float)
         if prices.shape != (n_arms,):
             raise ValueError("prices must have one entry per arm")
-    combos, ranks = all_subsets(n_arms, subset_size)
-    best_total, best_pos = -np.inf, -1
-    for pos in np.argsort(ranks):  # ascending rank makes ties prefer smaller ranks
-        total = float(_subset_values(hidden, list(combos[pos]), link, prices).sum())
+    table = subsets_by_rank(n_arms, subset_size)
+    best_total, best_rank = -np.inf, -1
+    for rank, combo in enumerate(table):  # ascending rank: ties keep the smaller
+        total = float(_subset_values(hidden, list(combo), link, prices).sum())
         if total > best_total:
-            best_total, best_pos = total, pos
-    benchmark = SubsetAction(tuple(int(i) for i in combos[best_pos]),
-                             int(ranks[best_pos]))
+            best_total, best_rank = total, rank
+    benchmark = SubsetAction(tuple(int(i) for i in table[best_rank]), best_rank)
 
-    bench_vals = _subset_values(hidden, list(combos[best_pos]), link, prices)
+    bench_vals = _subset_values(hidden, list(table[best_rank]), link, prices)
     played_idx = np.array([list(r.subset.indices) for r in records], dtype=np.int64)
     rows = np.arange(len(records))[:, None]
     if link is not None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import LinkDomainError, LinkRangeError, MnlLink, PolynomialLink, TabulatedLink
+from .core import LinkDomainError, LinkRangeError
 from .hardinstances import (
     HardInstance,
     SimplexError,
@@ -18,6 +18,7 @@ from .hardinstances import (
 )
 from .harness import (
     ExperimentConfig,
+    build_link,
     run_experiment,
     run_sweep,
     write_run_csv,
@@ -35,17 +36,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_link_arg(text: str):
-    """Parse a --g value: 'mnl', 'poly:a0,a1,...', or 'tab:x0:y0,x1:y1,...'."""
+    """Parse a --g value, 'mnl', 'poly:a0,a1,...' or 'tab:x0:y0,x1:y1,...',
+    into the link a config's link spec of that kind builds."""
     if text == "mnl":
-        return MnlLink()
+        return build_link({"kind": "mnl"})
     if text.startswith("poly:"):
         coeffs = [float(c) for c in text[len("poly:"):].split(",")]
-        return PolynomialLink(coeffs)
+        return build_link({"kind": "polynomial", "coefficients": coeffs})
     if text.startswith("tab:"):
         pairs = [p.split(":") for p in text[len("tab:"):].split(",")]
-        xs = [float(p[0]) for p in pairs]
-        ys = [float(p[1]) for p in pairs]
-        return TabulatedLink(xs, ys)
+        if any(len(p) != 2 for p in pairs):
+            raise ValueError(f"cannot parse link {text!r}; tab: takes x:y pairs")
+        return build_link({"kind": "tabulated", "xs": [float(x) for x, _ in pairs],
+                           "ys": [float(y) for _, y in pairs]})
     raise ValueError(f"cannot parse link {text!r}; use mnl, poly:..., or tab:...")
 
 
@@ -83,6 +86,8 @@ def _build_parser() -> _Parser:
 
 def _cmd_find_hard(args) -> int:
     link = parse_link_arg(args.g)
+    if args.grid < 1:
+        raise ValueError(f"--grid must be a positive integer, got {args.grid}")
     instance = find_hard_instance(link, m=args.m, b=args.b,
                                   grid_step=1.0 / args.grid,
                                   x0_candidates=args.x0)

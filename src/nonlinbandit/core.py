@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -233,44 +233,27 @@ def colex_ranks(combos: np.ndarray, n_arms: int) -> np.ndarray:
     return ranks
 
 
-def _capped_enumeration(build):
-    """Cache ``build(n_arms, subset_size)`` and run :func:`check_enumeration`
-    on C(n_arms, subset_size) at every call, cached or not, so a lowered cap
-    also refuses a table built before it was lowered."""
-    cached = lru_cache(maxsize=32)(build)
-
-    @wraps(build)
-    def enumeration(n_arms: int, subset_size: int):
-        check_enumeration(math.comb(n_arms, subset_size),
-                          f"size-{subset_size} subsets of {n_arms} arms")
-        return cached(n_arms, subset_size)
-
-    return enumeration
-
-
-@_capped_enumeration
-def all_subsets(n_arms: int, subset_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """All size-K subsets as an (A, K) index array plus their colex ranks.
-
-    Rows are in lexicographic enumeration order; the second array carries the
-    matching colexicographic ranks.  Both arrays are read-only and cached.
-    """
-    combos = np.array(
-        list(itertools.combinations(range(n_arms), subset_size)), dtype=np.int64
-    ).reshape(math.comb(n_arms, subset_size), subset_size)
-    ranks = colex_ranks(combos, n_arms)
-    combos.setflags(write=False)
-    ranks.setflags(write=False)
-    return combos, ranks
-
-
-@_capped_enumeration
 def subsets_by_rank(n_arms: int, subset_size: int) -> np.ndarray:
     """All size-K subsets as a read-only (A, K) index array whose row r is the
-    subset of colexicographic rank r."""
-    combos, ranks = all_subsets(n_arms, subset_size)
-    table = np.empty_like(combos)
-    table[ranks] = combos
+    subset of colexicographic rank r: the package's one enumeration of them.
+
+    Runs :func:`check_enumeration` on C(N, K) at every call, cached or not, so
+    a lowered cap also refuses a table built before it was lowered.
+    """
+    check_enumeration(math.comb(n_arms, subset_size),
+                      f"size-{subset_size} subsets of {n_arms} arms")
+    return _rank_table(n_arms, subset_size)
+
+
+@lru_cache(maxsize=32)
+def _rank_table(n_arms: int, subset_size: int) -> np.ndarray:
+    # the combinations of N-1, ..., 0 come out in decreasing colex rank, each
+    # in decreasing order: reversing rows and columns gives rank order
+    count = math.comb(n_arms, subset_size)
+    flat = itertools.chain.from_iterable(
+        itertools.combinations(range(n_arms - 1, -1, -1), subset_size))
+    table = np.fromiter(flat, dtype=np.int64, count=count * subset_size)
+    table = np.ascontiguousarray(table.reshape(count, subset_size)[::-1, ::-1])
     table.setflags(write=False)
     return table
 
@@ -336,12 +319,11 @@ def best_subset(values, link: LinkFunction, n_arms: int,
     check_unit_interval(v, "reward-vector entries")
     if v.size != n_arms:
         raise ValueError("reward vector length must equal n_arms")
-    combos, ranks = all_subsets(n_arms, subset_size)
-    sums = v[combos].sum(axis=1)
-    ys = np.asarray(link(sums), dtype=float)
+    table = subsets_by_rank(n_arms, subset_size)
+    ys = np.asarray(link(v[table].sum(axis=1)), dtype=float)
     check_unit_interval(ys, "link value", tol=1e-9, error=LinkRangeError)
-    pick = np.lexsort((ranks, -ys))[0]
-    action = SubsetAction(tuple(int(i) for i in combos[pick]), int(ranks[pick]))
+    pick = int(np.argmax(ys))  # the first maximum: the smallest rank
+    action = SubsetAction(tuple(int(i) for i in table[pick]), pick)
     return action, min(1.0, max(0.0, float(ys[pick])))
 
 

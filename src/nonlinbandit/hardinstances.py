@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LinkFunction, all_subsets, check_enumeration, subset_sums
+from .core import LinkFunction, check_enumeration, subset_sums, subsets_by_rank
 
 DEFAULT_X0_CANDIDATES = tuple(round(0.05 * k, 2) for k in range(1, 20))
 DEFAULT_EQ_TOL = 1e-8
@@ -265,6 +265,8 @@ def identity_battery(trials: int = 500, seed: int = 0) -> dict:
     leading coefficient bounded away from zero, each at an m drawn from
     ``BATTERY_M_VALUES``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     max_resid = 0.0
@@ -395,10 +397,8 @@ def _symmetrized_columns(link, grid, m, x0, b):
     n = tuples.shape[0]
     cols = np.zeros((m, n))
     for level in range(1, m):
-        combos, ranks = all_subsets(grid.size + level - 1, level)
-        table = np.empty(ranks.size)
-        table[ranks] = link(subset_sums(grid, combos - np.arange(level))
-                            + (b - level) * x0)
+        by_rank = subsets_by_rank(grid.size + level - 1, level)
+        table = link(subset_sums(grid, by_rank - np.arange(level)) + (b - level) * x0)
         acc = np.zeros(n)
         for sub_ranks in _sub_tuple_ranks(grid.size, m, level):
             acc += np.take(table, sub_ranks)
@@ -444,9 +444,10 @@ def _sub_tuple_ranks(n_values: int, m: int, level: int) -> np.ndarray:
 
     Row k holds, for every row of ``_sorted_tuples(n_values, m)``, the
     colexicographic rank among the sorted ``level``-tuples over
-    ``range(n_values)`` of its sub-tuple at the positions
-    ``all_subsets(m, level)[0][k]``.  By stars and bars the sorted tuple
-    a_0 <= ... <= a_{level-1} is the subset {a_j + j} of
+    ``range(n_values)`` of its sub-tuple at the k-th positions of
+    ``itertools.combinations(range(m), level)``; the columns accumulate in
+    this lexicographic order, which fixes their bits.  By stars and bars the
+    sorted tuple a_0 <= ... <= a_{level-1} is the subset {a_j + j} of
     ``range(n_values + level - 1)``, whose rank is sum_j C(a_j + j, j + 1),
     as in :func:`core.colex_ranks`.  Kept in the smallest unsigned dtype that
     holds the ranks: uint8 at level 1, uint16 at m = 3 on the 1/50 grid and
@@ -455,10 +456,9 @@ def _sub_tuple_ranks(n_values: int, m: int, level: int) -> np.ndarray:
     tuples = _sorted_tuples(n_values, m)
     terms = [np.array([math.comb(a + j, j + 1) for a in range(n_values)])
              for j in range(level)]
-    combos = all_subsets(m, level)[0]
     dtype = np.min_scalar_type(math.comb(n_values + level - 1, level) - 1)
-    table = np.empty((combos.shape[0], tuples.shape[0]), dtype=dtype)
-    for row, combo in zip(table, combos):
+    table = np.empty((math.comb(m, level), tuples.shape[0]), dtype=dtype)
+    for row, combo in zip(table, itertools.combinations(range(m), level)):
         row[:] = _take_sum(terms, tuples, combo)
     table.setflags(write=False)
     return table

@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import (
     SubsetAction,
-    all_subsets,
     check_enumeration,
     check_unit_interval,
     colex_ranks,
@@ -350,8 +349,8 @@ class Exp2(_Batched):
         self.n_actions = count
         self.dim = dim = n_arms ** order
         # row S of W holds a one at the colex rank of each of its C(K, d')
-        # sub-subsets, taken at the slot positions all_subsets(K, d')
-        members = subsets_by_rank(n_arms, subset_size)[:, all_subsets(subset_size, level)[0]]
+        # sub-subsets, taken at the slot positions subsets_by_rank(K, d')
+        members = subsets_by_rank(n_arms, subset_size)[:, subsets_by_rank(subset_size, level)]
         self.inclusion = np.zeros((count, width))
         np.put_along_axis(self.inclusion, colex_ranks(members, n_arms), 1.0, axis=1)
         if gamma_mix is None:

@@ -23,7 +23,7 @@ from nonlinbandit import (
     unrank_subset,
 )
 from nonlinbandit import core
-from nonlinbandit.core import DEFAULT_ENUMERATION_CAP, all_subsets, colex_ranks, subsets_by_rank
+from nonlinbandit.core import DEFAULT_ENUMERATION_CAP, colex_ranks, subsets_by_rank
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +108,21 @@ def test_rank_unrank_bijection(dims):
 
 @pytest.mark.parametrize("n,k", [(1, 1), (5, 2), (6, 6), (9, 4), (4, 0)])
 def test_colex_ranks_match_scalar_rank(n, k):
-    # the enumeration's ranks come from the vectorized helper; K = 0 gives the
-    # one empty subset, of rank 0
-    combos, ranks = all_subsets(n, k)
-    assert combos.shape == (math.comb(n, k), k)
+    # row r of the enumeration is the subset of rank r, for the scalar and the
+    # vectorized rank alike; K = 0 gives the one empty subset, of rank 0
+    table = subsets_by_rank(n, k)
+    ranks = np.arange(math.comb(n, k))
+    assert table.shape == (ranks.size, k)
+    assert not table.flags.writeable
+    assert sorted(map(tuple, table.tolist())) == list(itertools.combinations(range(n), k))
     assert ranks.tolist() == [sum(math.comb(c, j + 1) for j, c in enumerate(row))
-                              for row in combos.tolist()]
+                              for row in table.tolist()]
     if k:
-        assert ranks.tolist() == [rank_subset(row, n, k) for row in combos]
-        assert np.array_equal(subsets_by_rank(n, k)[ranks], combos)
-    stacked = np.stack([combos, combos])
+        assert ranks.tolist() == [rank_subset(row, n, k) for row in table]
+        assert [tuple(row) for row in table.tolist()] == [unrank_subset(r, n, k)
+                                                         for r in ranks]
+    assert np.array_equal(colex_ranks(table, n), ranks)
+    stacked = np.stack([table, table])
     assert np.array_equal(colex_ranks(stacked, n), np.stack([ranks, ranks]))
 
 
@@ -266,13 +271,12 @@ def test_best_subset_dominates_every_subset():
 
 
 def test_enumeration_cap_is_checked_on_cached_tables(monkeypatch):
-    # tables built before the cap was lowered are refused all the same
-    all_subsets(5, 2)
-    subsets_by_rank(5, 2)
+    # a table built before the cap was lowered is refused all the same
+    table = subsets_by_rank(5, 2)
+    assert subsets_by_rank(5, 2) is table
     monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", math.comb(5, 2) - 1)
-    for enumeration in (all_subsets, subsets_by_rank):
-        with pytest.raises(CapExceededError, match="10 size-2 subsets of 5 arms exceed cap 9"):
-            enumeration(5, 2)
+    with pytest.raises(CapExceededError, match="10 size-2 subsets of 5 arms exceed cap 9"):
+        subsets_by_rank(5, 2)
 
 
 def test_best_subset_cap(monkeypatch):

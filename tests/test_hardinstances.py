@@ -21,7 +21,7 @@ from nonlinbandit import (
     verify_hard_instance,
 )
 from nonlinbandit import hardinstances
-from nonlinbandit.core import all_subsets, subsets_by_rank
+from nonlinbandit.core import subsets_by_rank
 from nonlinbandit.hardinstances import DEFAULT_GAP_TOL, DEFAULT_X0_CANDIDATES
 
 
@@ -436,7 +436,7 @@ def test_sub_tuple_ranks_index_the_level_enumeration(n_values, m):
         assert not ranks.flags.writeable
         assert hardinstances._sub_tuple_ranks(n_values, m, level) is ranks
         by_rank = subsets_by_rank(n_values + level - 1, level) - np.arange(level)
-        for sub_ranks, combo in zip(ranks, all_subsets(m, level)[0]):
+        for sub_ranks, combo in zip(ranks, itertools.combinations(range(m), level)):
             assert np.array_equal(by_rank[sub_ranks], tuples[:, combo])
 
 

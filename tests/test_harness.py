@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -610,6 +612,75 @@ def test_cli_negative_base_seed_exits_one(tmp_path, capsys, command):
     cfg.write_text(json.dumps({**_EXP2_CONFIG, "base_seed": -3}))
     assert main([command, "--config", str(cfg)]) == 1
     assert "base_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["find-hard", "--g", "tab:0", "--m", "2", "--b", "2"],
+    ["find-hard", "--g", "mnl", "--grid", "0", "--m", "2", "--b", "2"],
+    ["identity-check", "--trials", "0"],
+    ["identity-check", "--trials", "-3"],
+], ids=["tab-without-y", "grid-zero", "trials-zero", "trials-negative"])
+def test_cli_malformed_input_exits_one(tmp_path, capsys, argv):
+    inst_path = tmp_path / "inst.json"
+    if argv[0] == "find-hard":
+        argv = argv + ["--out", str(inst_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert not inst_path.exists()
+
+
+def _schedule_config(kind, adversary, output):
+    if kind == "mnl_general":
+        adversary = {**adversary, "prices": [1.0, 0.8, 0.6, 0.9, 0.7]}
+    return {**_EXP2_CONFIG, "adversary": {"kind": kind, **adversary},
+            "algorithms": [{"name": "exp3", "params": {}}],
+            "output": str(output), "full_trace": True}
+
+
+@pytest.mark.parametrize("kind", ["oblivious", "mnl_general"])
+def test_schedule_csv_runs_like_the_inline_schedule(tmp_path, capsys, kind):
+    schedule = np.random.default_rng(3).uniform(0, 0.5, size=(50, 5)).tolist()
+    sched_path = tmp_path / "schedule.csv"
+    sched_path.write_text("t,v_0,v_1,v_2,v_3,v_4\n" + "".join(
+        f"{t},{','.join(repr(v) for v in row)}\n" for t, row in enumerate(schedule, 1)))
+    outputs = []
+    for name, adversary in [("inline", {"schedule": schedule}),
+                            ("csv", {"schedule_csv": str(sched_path)})]:
+        out = tmp_path / f"{name}.csv"
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(_schedule_config(kind, adversary, out)))
+        assert main(["run", "--config", str(cfg)]) == 0
+        outputs.append(out.read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 1 + 4 * 50
+
+
+@pytest.mark.parametrize("kind", ["oblivious", "mnl_general"])
+def test_schedule_csv_of_the_wrong_width_exits_one(tmp_path, capsys, kind):
+    sched_path = tmp_path / "narrow.csv"
+    sched_path.write_text("t,v_0,v_1,v_2,v_3\n" + "".join(
+        f"{t},0.1,0.2,0.3,0.4\n" for t in range(1, 51)))
+    out = tmp_path / "run.csv"
+    cfg = tmp_path / "narrow.json"
+    cfg.write_text(json.dumps(_schedule_config(kind, {"schedule_csv": str(sched_path)},
+                                               out)))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "schedule has 4 arms, expected 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    exec(compile(example.group(1), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["0", "1", "2", "3"]
+    assert all(math.isfinite(float(line.split()[1])) for line in lines)
 
 
 def test_parse_link_arg():
