@@ -170,7 +170,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, LinkDomainError, LinkRangeError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, LinkDomainError, LinkRangeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SimplexError, RuntimeError) as exc:

@@ -27,7 +27,7 @@ DEFAULT_GAP_TOL = 1e-6
 
 
 class SimplexError(RuntimeError):
-    """LP solve failed (infeasible, unbounded, or no convergence)."""
+    """LP solve failed (unusable start, unbounded, or no convergence)."""
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ class LpProblem:
 
 _STALL_LIMIT = 25
 # Optimality: every reduced cost at most PRICING_TOL.  A solve of an LP with
-# n columns gives up after BASE_PIVOTS + 5 n pivots per phase.
+# n columns gives up after BASE_PIVOTS + 5 n pivots.
 PRICING_TOL = 1e-9
 BASE_PIVOTS = 5_000
 
@@ -111,96 +111,39 @@ _START_COND_LIMIT = 1e10
 _START_NEG_TOL = 1e-9
 
 
-def solve_lp(problem: LpProblem, start=None) -> tuple[np.ndarray, float]:
-    """Optimal basic feasible solution of the LP in ``problem``.
+def solve_lp(problem: LpProblem, start) -> tuple[np.ndarray, float]:
+    """Optimal basic feasible solution of the LP in ``problem`` by the dense
+    primal simplex from the basis ``start``: one distinct column index per
+    row of ``eq_matrix``.  Returns (weights, objective value).
 
-    Dense primal simplex.  Termination requires every reduced cost to be
-    <= ``PRICING_TOL``, which certifies dual feasibility of the returned
-    basis.  Returns (weights, objective value).
-
-    ``start`` optionally names a feasible basis: one distinct column index
-    per row of ``eq_matrix``.  When its basis matrix has condition number at
-    most 1e10 and its basic values are all >= -1e-9 (a basis that is
-    feasible only up to rounding), the simplex starts there on the problem's
-    own arrays and skips phase 1.  Otherwise (a singular, ill-conditioned or
-    infeasible start, or one of the wrong size) and always when ``start`` is
-    None, the two-phase path runs: phase 1 drives artificial variables to
-    zero from the identity basis of an (r, n + r) copy, pivots zero-level
-    artificials out and drops the rows where none can leave as redundant.
-    The ratio test reads slightly negative basic values as 0, so a start
-    that is feasible only up to rounding takes a large pivot, not a backward
-    step.  The hard-instance search passes the crash basis of
-    :func:`_crash_basis`; a linear link's redundant moment rows make that
-    basis singular, and its LPs take the two-phase path.
+    The start's basis matrix must have condition number at most 1e10 and
+    basic values all >= -1e-9; the ratio test reads slightly negative basic
+    values as 0, so a start feasible only up to rounding takes a large
+    pivot, not a backward step.  Termination requires every reduced cost to
+    be <= ``PRICING_TOL``, which certifies dual feasibility of the returned
+    basis.  Raises :class:`SimplexError` for an unusable start (wrong size,
+    repeated or out-of-range columns, singular, ill-conditioned or
+    infeasible; dependent rows leave no usable start, so drop them first, as
+    :func:`_crash_start` does) and for an unbounded or non-converging solve.
     """
     A, b, c = problem.eq_matrix, problem.eq_rhs, problem.objective
-    n = A.shape[1]
-    max_iters = BASE_PIVOTS + 5 * n
-    basis = None if start is None else _feasible_start(A, b, start)
-    if basis is None:
-        A, b, basis = _phase_one(A, b, max_iters)
-    basis, x_b, iters = _simplex_phase(A, b, c, basis, max_iters)
+    r, n = A.shape
+    basis = np.array(start, dtype=np.intp)
+    if (basis.shape != (r,) or np.unique(basis).size != r
+            or basis.min() < 0 or basis.max() >= n):
+        raise SimplexError(f"start must name {r} distinct columns of {n}")
+    B = A[:, basis]
+    if not np.linalg.cond(B) <= _START_COND_LIMIT:
+        raise SimplexError("start basis is singular or ill-conditioned")
+    if np.any(np.linalg.solve(B, b) < -_START_NEG_TOL):
+        raise SimplexError("start basis is infeasible")
+    basis, x_b, iters = _simplex_phase(A, b, c, basis, BASE_PIVOTS + 5 * n)
     weights = np.zeros(n)
     weights[basis] = x_b
     if np.any(weights < -1e-9):
         raise SimplexError(f"negative basic variable after {iters} iterations")
     weights = np.maximum(weights, 0.0)
     return weights, float(c @ weights)
-
-
-def _feasible_start(A, b, start):
-    """``start`` as a basis array if it is a usable feasible basis, else None."""
-    r, n = A.shape
-    basis = np.array(start, dtype=np.intp)
-    if (basis.shape != (r,) or np.unique(basis).size != r
-            or basis.min() < 0 or basis.max() >= n):
-        return None
-    B = A[:, basis]
-    if not np.linalg.cond(B) <= _START_COND_LIMIT:
-        return None
-    if np.any(np.linalg.solve(B, b) < -_START_NEG_TOL):
-        return None
-    return basis
-
-
-def _phase_one(A, b, max_iters):
-    """Feasible basis by the artificial-variable phase 1.
-
-    Returns the row-flipped constraint arrays, with redundant rows removed,
-    and a basis of real columns for them.
-    """
-    A = A.copy()
-    b = b.copy()
-    r, n = A.shape
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    A1 = np.hstack([A, np.eye(r)])
-    c1 = np.concatenate([np.zeros(n), -np.ones(r)])
-    basis = list(range(n, n + r))
-    basis, x_b, _ = _simplex_phase(A1, b, c1, np.array(basis), max_iters)
-    basis = list(basis)
-    if float(c1[np.array(basis)] @ x_b) < -1e-7:
-        raise SimplexError("LP infeasible (artificial variables remain positive)")
-
-    # Remove any zero-level artificials: pivot them out or drop redundant rows.
-    keep_rows = list(range(r))
-    while any(j >= n for j in basis):
-        pos = next(i for i, j in enumerate(basis) if j >= n)
-        B = A1[np.ix_(keep_rows, basis)]
-        row = np.linalg.solve(B, A1[keep_rows, :n])[pos]
-        eligible = np.abs(row) > 1e-9
-        eligible[[j for j in basis if j < n]] = False
-        candidates = np.flatnonzero(eligible)
-        if candidates.size:
-            basis[pos] = int(candidates[0])
-        else:
-            del keep_rows[pos]
-            del basis[pos]
-    if len(keep_rows) < r:
-        A, b = A[keep_rows], b[keep_rows]
-    return A, b, np.array(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -479,60 +422,110 @@ def _x0_problem(link, m, b, grid, x0):
     maximize the depth-m moment over weights on the sorted grid tuples, with
     the depths 1..m-1 pinned to ``g(b * x0)`` and the weights summing to 1.
 
-    Returns (sorted index tuples, symmetrized columns, target, problem).
+    The right-hand side is the diagonal tuple's own column, (g(b * x0), ...,
+    g(b * x0), 1) up to rounding, so the diagonal point mass is exactly
+    feasible.  Its row in the tuple table is closed-form: exactly the
+    C(G - i + m - 1, m) sorted tuples over ``range(i, G)`` come at or after
+    (i, ..., i), where i is the grid index of x0.
+
+    Returns (sorted index tuples, symmetrized columns, target g(b * x0),
+    diagonal column index, problem).
     """
     tuples = _sorted_tuples(grid.size, m)
     cols = _symmetrized_columns(link, grid, m, x0, b)
     target = float(link(b * x0))
     n = tuples.shape[0]
-    rows = [cols[level - 1] for level in range(1, m)] + [np.ones(n)]
-    rhs = np.array([target] * (m - 1) + [1.0])
-    problem = LpProblem(objective=cols[m - 1], eq_matrix=np.vstack(rows), eq_rhs=rhs)
-    return tuples, cols, target, problem
+    i = int(np.searchsorted(grid, x0))
+    diag = n - math.comb(grid.size - i + m - 1, m)
+    matrix = np.vstack([cols[:m - 1], np.ones(n)])
+    problem = LpProblem(objective=cols[m - 1], eq_matrix=matrix, eq_rhs=matrix[:, diag])
+    return tuples, cols, target, diag, problem
 
 
 _CRASH_POOL = 256
+# A column (row) joins a greedy pick only when more than this share of its
+# norm lies outside the span of those already picked.
+_INDEPENDENCE_TOL = 1e-12
+# Twice the largest dual residual at which an LP is settled as gap-free.
+_NO_GAP_TOL = 1e-10
 
 
-def _crash_basis(grid: np.ndarray, x0: float, matrix: np.ndarray) -> list[int]:
-    """Crash start for the LP of :func:`_x0_problem` at ``x0``: the column of
-    the diagonal tuple (x0, ..., x0) plus m - 1 columns picked to keep the
-    basis well conditioned.
-
-    The diagonal tuple meets every moment row with weight 1, so a basis
-    holding it is feasible up to rounding whatever else it holds (Bixby,
-    "Implementing the simplex method: the initial basis", 1992).  Its row in
-    the lexicographic tuple table is closed-form: exactly the
-    C(G - i + m - 1, m) sorted tuples over ``range(i, G)`` come at or after
-    (i, ..., i), where i is the grid index of x0.  The other columns come
-    from greedy modified Gram-Schmidt over at most 256 evenly strided
-    columns: each pick is the pool column with the largest share of its norm
-    outside the span of the columns already picked, and only the pool's
-    residuals are updated, never the whole matrix.
-    """
-    m, n = matrix.shape
-    i = int(np.searchsorted(grid, x0))
-    diag = math.comb(grid.size + m - 1, m) - math.comb(grid.size - i + m - 1, m)
+def _crash_pool(n: int, diag: int) -> np.ndarray:
+    """At most 256 evenly strided column indices, without ``diag``."""
     pool = np.arange(0, n, -(-n // _CRASH_POOL))
-    pool = pool[pool != diag]
-    residual = matrix[:, pool]
-    norms = np.linalg.norm(residual, axis=0)
-    basis = [diag]
-    direction = matrix[:, diag] / np.linalg.norm(matrix[:, diag])
-    for _ in range(m - 1):
+    return pool[pool != diag]
+
+
+def _has_no_gap(problem: LpProblem, diag: int) -> bool:
+    """Whether weak duality rules out a gap above ``_NO_GAP_TOL / 2``.
+
+    For any y the objective row splits as c = y A + r, so on the feasible
+    set c . x = y . rhs + r . x, and the diagonal point mass, which is
+    feasible, has c . x = y . rhs + r_diag.  No feasible x then beats it by
+    more than 2 max |r|.  y is the least-squares fit of c on the columns of
+    :func:`_crash_pool`; a polynomial link of degree below m puts c in the
+    row span of the moment rows, which makes r vanish up to rounding.
+    """
+    A, c = problem.eq_matrix, problem.objective
+    pool = _crash_pool(c.size, diag)
+    y = np.linalg.lstsq(A[:, pool].T, c[pool], rcond=None)[0]
+    return 2 * float(np.max(np.abs(c - y @ A))) <= _NO_GAP_TOL
+
+
+def _greedy_independent(matrix: np.ndarray, first: int, candidates: np.ndarray,
+                        count: int) -> list[int]:
+    """Column ``first`` plus up to ``count - 1`` of ``candidates``, picked by
+    greedy modified Gram-Schmidt: each pick is the candidate with the largest
+    share of its norm outside the span of the columns already picked, and
+    the picking stops when that share is at most ``_INDEPENDENCE_TOL``.
+    Only the candidates' residuals are updated."""
+    residual = matrix[:, candidates]
+    norms = np.maximum(np.linalg.norm(residual, axis=0), np.finfo(float).tiny)
+    picks = [first]
+    direction = matrix[:, first] / np.linalg.norm(matrix[:, first])
+    for _ in range(count - 1):
         residual = residual - np.outer(direction, direction @ residual)
         left = np.linalg.norm(residual, axis=0)
         pick = int(np.argmax(left / norms))
-        if not left[pick] > 0:
+        if not left[pick] > _INDEPENDENCE_TOL * norms[pick]:
             break
-        basis.append(int(pool[pick]))
+        picks.append(int(candidates[pick]))
         direction = residual[:, pick] / left[pick]
-    return basis
+    return picks
+
+
+def _crash_start(problem: LpProblem, diag: int) -> tuple[LpProblem, list[int]]:
+    """Crash start for the LP of :func:`_x0_problem`: the LP with only
+    independent rows, and a basis for it of the diagonal tuple's column
+    ``diag`` plus columns picked to keep it well conditioned.
+
+    With the diagonal column as the right-hand side, a basis holding it is
+    feasible whatever else it holds (Bixby, "Implementing the simplex
+    method: the initial basis", 1992).  The other columns come from the
+    strided :func:`_crash_pool`, or from every column when it spans too few.
+    When every column spans fewer than one per row, the rows are dependent,
+    and only rows independent on the basis are kept, the ones row first;
+    the basis then spans every column, so the kept rows imply the others.
+    """
+    matrix = problem.eq_matrix
+    rows, n = matrix.shape
+    basis = _greedy_independent(matrix, diag, _crash_pool(n, diag), rows)
+    if len(basis) < rows:
+        basis = _greedy_independent(matrix, diag, np.delete(np.arange(n), diag), rows)
+    if len(basis) == rows:
+        return problem, basis
+    kept = np.sort(_greedy_independent(matrix[:, basis].T, rows - 1,
+                                       np.arange(rows - 1), len(basis)))
+    return LpProblem(problem.objective, matrix[kept], problem.eq_rhs[kept]), basis
 
 
 def _solve_for_x0(link, m, b, grid, x0):
-    tuples, cols, target, problem = _x0_problem(link, m, b, grid, x0)
-    weights, _ = solve_lp(problem, start=_crash_basis(grid, x0, problem.eq_matrix))
+    tuples, cols, target, diag, problem = _x0_problem(link, m, b, grid, x0)
+    if _has_no_gap(problem, diag):
+        return HardInstance(x0=x0, m=m, b=b, support=grid[tuples[[diag]]],
+                            weights=[1.0], gamma=0.0,
+                            residuals=cols[:m - 1, diag] - target)
+    weights, _ = solve_lp(*_crash_start(problem, diag))
     keep = weights > 1e-14
     support = grid[tuples[keep]]
     kept = weights[keep]
@@ -552,9 +545,11 @@ def find_hard_instance(link: LinkFunction, m: int, b: int, grid_step: float = 0.
     For each candidate base level ``x0`` the moment constraints become a
     small LP over sorted grid tuples whose objective maximizes the depth-m
     moment; the candidate with the largest resulting ``gamma`` wins.  The
-    diagonal point mass is always feasible, so the search cannot fail, and
-    each LP starts from a crash basis that holds it; a polynomial link of
-    degree below m yields ``gamma`` at float-noise level.
+    diagonal point mass is always feasible, so the search cannot fail.  An
+    LP whose dual residual rules out a gap (:func:`_has_no_gap`), as every LP
+    of a polynomial link of degree below m does, yields the diagonal point
+    mass with ``gamma`` = 0; every other LP is solved from a crash basis
+    that holds it.
 
     Raises ``ValueError`` for an empty candidate list, and
     :class:`CapExceededError`, before any tuple is enumerated, when a

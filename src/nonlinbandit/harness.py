@@ -97,23 +97,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        dims = data["dims"]
-        return cls(
-            dims=ProblemDims(
-                n_arms=int(dims["N"]),
-                subset_size=int(dims["K"]),
-                horizon=int(dims["T"]),
-                degree=None if dims.get("d") is None else int(dims["d"]),
-            ),
-            link_spec=dict(data["link"]),
-            adversary_spec=dict(data["adversary"]),
-            algorithm_specs=[dict(a) for a in data["algorithms"]],
-            replications=int(data.get("replications", 1)),
-            base_seed=int(data.get("base_seed", 0)),
-            t_grid=None if data.get("t_grid") is None else [int(t) for t in data["t_grid"]],
-            output=data.get("output"),
-            full_trace=bool(data.get("full_trace", False)),
-        )
+        """Config from its JSON form; a value of the wrong JSON type raises ValueError."""
+        try:
+            dims = data["dims"]
+            return cls(
+                dims=ProblemDims(
+                    n_arms=int(dims["N"]),
+                    subset_size=int(dims["K"]),
+                    horizon=int(dims["T"]),
+                    degree=None if dims.get("d") is None else int(dims["d"]),
+                ),
+                link_spec=dict(data["link"]),
+                adversary_spec=dict(data["adversary"]),
+                algorithm_specs=[dict(a) for a in data["algorithms"]],
+                replications=int(data.get("replications", 1)),
+                base_seed=int(data.get("base_seed", 0)),
+                t_grid=None if data.get("t_grid") is None else [int(t) for t in data["t_grid"]],
+                output=data.get("output"),
+                full_trace=bool(data.get("full_trace", False)),
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed config: {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":

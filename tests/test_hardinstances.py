@@ -42,7 +42,7 @@ class ExpLink(LinkFunction):
 def test_solve_lp_trivial():
     problem = LpProblem(objective=[1.0, 0.0],
                         eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0])
-    w, obj = solve_lp(problem)
+    w, obj = solve_lp(problem, start=[1])
     assert np.allclose(w, [1.0, 0.0])
     assert obj == pytest.approx(1.0)
 
@@ -50,7 +50,7 @@ def test_solve_lp_trivial():
 def test_solve_lp_zero_objective():
     problem = LpProblem(objective=[0.0, 0.0, 0.0],
                         eq_matrix=[[1.0, 1.0, 1.0]], eq_rhs=[1.0])
-    w, obj = solve_lp(problem)
+    w, obj = solve_lp(problem, start=[2])
     assert obj == pytest.approx(0.0)
     assert w.sum() == pytest.approx(1.0)
     assert np.all(w >= 0)
@@ -77,11 +77,11 @@ def test_solve_lp_matches_vertex_enumeration():
     for trial in range(10):
         n = 20
         A = np.vstack([np.ones(n), rng.uniform(-1, 1, size=(2, n))])
-        w0 = rng.dirichlet(np.ones(n))
-        b = A @ w0
+        start = rng.choice(n, size=3, replace=False)
+        b = A[:, start] @ rng.dirichlet(np.ones(3))
         c = rng.uniform(0, 1, size=n)
         problem = LpProblem(objective=c, eq_matrix=A, eq_rhs=b)
-        w, obj = solve_lp(problem)
+        w, obj = solve_lp(problem, start=start)
         assert np.allclose(A @ w, b, atol=1e-9)
         oracle = _vertex_enumeration_optimum(c, A, b)
         assert obj == pytest.approx(oracle, abs=1e-8)
@@ -90,15 +90,21 @@ def test_solve_lp_matches_vertex_enumeration():
 def test_solve_lp_infeasible():
     problem = LpProblem(objective=[1.0, 1.0],
                         eq_matrix=[[1.0, 1.0], [1.0, 1.0]], eq_rhs=[1.0, 2.0])
-    with pytest.raises(SimplexError):
-        solve_lp(problem)
+    with pytest.raises(SimplexError, match="singular"):
+        solve_lp(problem, start=[0, 1])
+    # x0 + x1 = 1 and x0 - x1 = 3 force x1 = -1
+    problem = LpProblem(objective=[1.0, 1.0],
+                        eq_matrix=[[1.0, 1.0], [1.0, -1.0]], eq_rhs=[1.0, 3.0])
+    with pytest.raises(SimplexError, match="infeasible"):
+        solve_lp(problem, start=[0, 1])
 
 
 def test_solve_lp_redundant_rows():
+    # every basis of dependent rows is singular; the caller drops such rows
     problem = LpProblem(objective=[1.0, 0.0],
                         eq_matrix=[[1.0, 1.0], [2.0, 2.0]], eq_rhs=[1.0, 2.0])
-    w, obj = solve_lp(problem)
-    assert obj == pytest.approx(1.0)
+    with pytest.raises(SimplexError, match="singular"):
+        solve_lp(problem, start=[0, 1])
 
 
 def test_lp_problem_validation():
@@ -111,21 +117,23 @@ def test_lp_problem_validation():
 @pytest.mark.parametrize("link_kind", ["mnl", "linear", "poly"])
 @pytest.mark.parametrize("m, q", [(2, 50), (3, 50), (4, 25)])
 def test_solve_lp_matches_highs_on_search_lps(link_kind, m, q):
-    """Every x0 LP of the criterion-2 search, against an independent solver,
-    solved both from the search's crash start and by the two-phase path.
+    """Every x0 LP of the criterion-2 search, against an independent solver.
 
-    HiGHS solves the dual, min b'y subject to A'y >= c with y free, whose
-    optimum equals the primal optimum by strong duality; on these few-row,
-    many-column LPs it runs about four times faster than the primal.  With
-    HiGHS's default 1e-7 feasibility tolerances the primal came out 3.7e-8
-    off at m = 4, so both are tightened.
+    A polynomial link of degree below m is settled by the dual residual: its
+    optimum is the diagonal point mass.  MNL's LPs are solved from the
+    search's crash start.  HiGHS solves the dual, min b'y subject to
+    A'y >= c with y free, whose optimum equals the primal optimum by strong
+    duality; on these few-row, many-column LPs it runs about four times
+    faster than the primal.  With HiGHS's default 1e-7 feasibility
+    tolerances the primal came out 3.7e-8 off at m = 4, so both are
+    tightened.
     """
     optimize = pytest.importorskip("scipy.optimize")
     link = {"mnl": MnlLink(), "linear": PolynomialLink([0.0, 0.3]),
             "poly": _LOW_DEGREE[m]}[link_kind]
     for x0 in DEFAULT_X0_CANDIDATES:
         grid = hardinstances._grid_values(1 / q, x0)
-        *_, problem = hardinstances._x0_problem(link, m, m, grid, x0)
+        *_, diag, problem = hardinstances._x0_problem(link, m, m, grid, x0)
         dual = optimize.linprog(
             problem.eq_rhs, A_ub=-problem.eq_matrix.T, b_ub=-problem.objective,
             bounds=(None, None), method="highs",
@@ -133,21 +141,13 @@ def test_solve_lp_matches_highs_on_search_lps(link_kind, m, q):
                      "dual_feasibility_tolerance": 1e-10},
         )
         assert dual.status == 0, dual.message
-        for start in (None, hardinstances._crash_basis(grid, x0, problem.eq_matrix)):
-            _, objective = solve_lp(problem, start=start)
-            assert objective == pytest.approx(dual.fun, abs=1e-9), f"x0={x0} start={start}"
-
-
-def _count_phase_one(monkeypatch):
-    calls = []
-    original = hardinstances._phase_one
-
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(hardinstances, "_phase_one", counting)
-    return calls
+        no_gap = hardinstances._has_no_gap(problem, diag)
+        assert no_gap == (link_kind != "mnl"), f"x0={x0}"
+        if no_gap:
+            objective = problem.objective[diag]
+        else:
+            _, objective = solve_lp(*hardinstances._crash_start(problem, diag))
+        assert objective == pytest.approx(dual.fun, abs=1e-9), f"x0={x0}"
 
 
 # max x2 subject to x0 + x1 + x2 + 2 x3 = 1 and x0 + 2 x1 + 2 x3 = 1.5, where
@@ -157,57 +157,55 @@ _HAND_LP = LpProblem(objective=[0.0, 0.0, 1.0, 0.0],
                      eq_rhs=[1.0, 1.5])
 
 
-@pytest.mark.parametrize("start, why", [
-    ([0, 3], "singular"),
-    ([0, 2], "infeasible: x0 = 1.5, x2 = -0.5"),
-    ([0, 0], "repeated column"),
-    ([1], "too few columns"),
-])
-def test_solve_lp_bad_start_falls_back_on_hand_lp(monkeypatch, start, why):
-    calls = _count_phase_one(monkeypatch)
-    expected = solve_lp(_HAND_LP)
-    assert np.allclose(expected[0], [0.0, 0.75, 0.25, 0.0])
-    weights, objective = solve_lp(_HAND_LP, start=start)
-    assert calls == [1, 1], why
-    assert np.array_equal(weights, expected[0]) and objective == expected[1]
+@pytest.mark.parametrize("start", [[0, 3], [0, 2], [0, 0], [1]],
+                         ids=["singular", "infeasible", "repeated-column", "too-few-columns"])
+def test_solve_lp_bad_start_raises_on_hand_lp(start):
+    # the infeasible start has basic values x0 = 1.5, x2 = -0.5
+    with pytest.raises(SimplexError, match="start"):
+        solve_lp(_HAND_LP, start=start)
 
 
-def test_solve_lp_good_start_skips_phase_one(monkeypatch):
-    calls = _count_phase_one(monkeypatch)
+def test_solve_lp_good_start_solves_hand_lp():
     weights, objective = solve_lp(_HAND_LP, start=[1, 2])
-    assert calls == []
+    assert np.allclose(weights, [0.0, 0.75, 0.25, 0.0]) and objective == pytest.approx(0.25)
+    weights, objective = solve_lp(_HAND_LP, start=[0, 1])
     assert np.allclose(weights, [0.0, 0.75, 0.25, 0.0]) and objective == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("x0", [0.2, 0.5, 0.85])
-def test_solve_lp_singular_crash_start_falls_back_on_linear_link(monkeypatch, x0):
+def test_solve_lp_singular_crash_start_falls_back_on_linear_link(x0):
     # A linear link's depth-1 and depth-2 rows are both affine in the tuple
-    # mean, so with the ones row every 3-column basis is singular.
+    # mean, so with the ones row every 3-column basis is singular.  The crash
+    # start falls back to every column, keeps the ones row and one moment
+    # row, and the dropped row holds at the optimum; the search itself
+    # settles this LP by the dual residual.
     grid = hardinstances._grid_values(1 / 50, x0)
-    *_, problem = hardinstances._x0_problem(PolynomialLink([0.0, 0.3]), 3, 3, grid, x0)
-    start = hardinstances._crash_basis(grid, x0, problem.eq_matrix)
-    assert np.linalg.cond(problem.eq_matrix[:, start]) > 1e10
-    calls = _count_phase_one(monkeypatch)
-    expected = solve_lp(problem)
-    weights, objective = solve_lp(problem, start=start)
-    assert len(calls) == 2
-    assert np.array_equal(weights, expected[0]) and objective == expected[1]
+    *_, diag, problem = hardinstances._x0_problem(PolynomialLink([0.0, 0.3]), 3, 3, grid, x0)
+    reduced, basis = hardinstances._crash_start(problem, diag)
+    assert reduced.eq_matrix.shape[0] == len(basis) == 2 and basis[0] == diag
+    assert np.array_equal(reduced.eq_matrix[-1], np.ones(problem.objective.size))
+    extra = next(j for j in range(problem.objective.size) if j not in basis)
+    with pytest.raises(SimplexError, match="singular"):
+        solve_lp(problem, start=basis + [extra])
+    weights, objective = solve_lp(reduced, start=basis)
+    assert np.allclose(problem.eq_matrix @ weights, problem.eq_rhs, atol=1e-12)
+    assert objective == pytest.approx(problem.objective[diag], abs=1e-12)
+    assert hardinstances._has_no_gap(problem, diag)
 
 
 @pytest.mark.parametrize("m, q", [(2, 50), (3, 50), (4, 25)])
-def test_crash_basis_holds_the_diagonal_and_is_nonsingular(monkeypatch, m, q):
-    calls = _count_phase_one(monkeypatch)
+def test_crash_basis_holds_the_diagonal_and_is_nonsingular(m, q):
     for x0 in DEFAULT_X0_CANDIDATES:
         grid = hardinstances._grid_values(1 / q, x0)
-        tuples, _, _, problem = hardinstances._x0_problem(MnlLink(), m, m, grid, x0)
-        start = hardinstances._crash_basis(grid, x0, problem.eq_matrix)
+        tuples, _, _, diag, problem = hardinstances._x0_problem(MnlLink(), m, m, grid, x0)
+        reduced, start = hardinstances._crash_start(problem, diag)
         diagonal = np.flatnonzero(np.all(grid[tuples] == x0, axis=1))
-        assert diagonal.tolist() == [start[0]], f"x0={x0}"
-        assert len(set(start)) == m
+        assert diagonal.tolist() == [diag] and start[0] == diag, f"x0={x0}"
+        assert np.array_equal(problem.eq_rhs, problem.eq_matrix[:, diag])
+        assert reduced.eq_matrix.shape == problem.eq_matrix.shape and len(set(start)) == m
         B = problem.eq_matrix[:, start]
         assert np.linalg.matrix_rank(B) == m and np.linalg.cond(B) < 1e10, f"x0={x0}"
-        solve_lp(problem, start=start)
-    assert calls == []
+        solve_lp(reduced, start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +349,41 @@ def test_dichotomy_at_five_and_six_coordinates(m, q):
     assert verify_hard_instance(inst, mnl).valid
     link = _random_low_degree_link(np.random.default_rng(m), m)
     assert abs(find_hard_instance(link, m=m, b=m, grid_step=1 / q).gamma) <= 1e-8
+
+
+@pytest.mark.parametrize("m, seeds", [(7, (7000, 7001, 7002)), (8, (8001, 8003, 8004))])
+def test_dichotomy_at_seven_and_eight_coordinates(m, seeds):
+    """On the 1/10 grid MNL keeps a verified gap (about 8.2e-4 at m = 7 and
+    3.3e-4 at m = 8), and each degree-(m - 1) polynomial is settled as
+    gap-free by the dual residual: the diagonal point mass at the first x0
+    candidate, with gamma exactly 0."""
+    mnl = MnlLink()
+    inst = find_hard_instance(mnl, m=m, b=m, grid_step=1 / 10)
+    assert inst.gamma > DEFAULT_GAP_TOL
+    assert verify_hard_instance(inst, mnl).valid
+    for seed in seeds:
+        link = _random_low_degree_link(np.random.default_rng(seed), m)
+        inst = find_hard_instance(link, m=m, b=m, grid_step=1 / 10)
+        assert inst.gamma == 0.0, f"seed={seed}"
+        assert inst.x0 == DEFAULT_X0_CANDIDATES[0] and inst.weights.tolist() == [1.0]
+        assert abs(verify_hard_instance(inst, link).gamma) <= 1e-8
+
+
+# Piecewise-linear links with one kink, whose moment rows are dependent on
+# some grids: the search keeps only independent rows.  The expected gaps are
+# two-phase simplex optima, and VALID.  At x0 = 0.55 the strided crash pool
+# spans two columns while the full matrix has rank 3, so a rank test on the
+# pool alone drops a row that is not implied by the others.
+@pytest.mark.parametrize("xs, ys, m, q, x0_candidates, gamma", [
+    ([0, 2.6, 3], [0, 0.5, 0.8], 3, 50, None, 0.13384615384615384),
+    ([0, 3.5, 4], [0, 0.6, 0.9], 4, 10, None, 0.10714285714285715),
+    ([0, 3.5, 4], [0, 0.6, 0.9], 4, 10, [0.55], 0.07443609022556469),
+], ids=["m3", "m4", "m4-x0-0.55"])
+def test_kinked_tabulated_link_drops_dependent_rows(xs, ys, m, q, x0_candidates, gamma):
+    link = TabulatedLink(xs, ys)
+    inst = find_hard_instance(link, m=m, b=m, grid_step=1 / q, x0_candidates=x0_candidates)
+    assert inst.gamma == pytest.approx(gamma, abs=1e-12)
+    assert verify_hard_instance(inst, link).valid
 
 
 def test_grid_refinement_never_shrinks_gap(mnl_link):

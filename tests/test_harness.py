@@ -559,6 +559,36 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("config", [
+    {"dims": None},
+    [_EXP2_CONFIG],
+    {**_EXP2_CONFIG, "dims": {**_EXP2_CONFIG["dims"], "N": [5]}},
+], ids=["null-dims", "top-level-list", "list-N"])
+def test_config_of_wrong_json_shape_raises_value_error(tmp_path, capsys, config):
+    with pytest.raises(ValueError, match="malformed config"):
+        ExperimentConfig.from_dict(config)
+    cfg = tmp_path / "shape.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed config")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{dir}"],
+    ["sweep", "--config", "{dir}"],
+    ["find-hard", "--g", "mnl", "--m", "1", "--b", "1", "--grid", "4",
+     "--x0", "0.5", "--out", "{dir}"],
+    ["verify", "--g", "mnl", "--inst", "{dir}"],
+], ids=["run", "sweep", "find-hard", "verify"])
+def test_cli_directory_path_exits_one(tmp_path, capsys, argv):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_unknown_learner_param_exits_one(tmp_path, capsys):
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps({**_EXP2_CONFIG,
