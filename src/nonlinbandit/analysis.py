@@ -75,13 +75,20 @@ class RegretTrace:
         return float(self.cum_regret[-1])
 
 
+def check_feedback_model(link, prices):
+    """Exactly one of ``link`` (Bernoulli) or ``prices`` (choice feedback)."""
+    if (link is None) == (prices is None):
+        raise ValueError("provide exactly one of link or prices")
+
+
 def _subset_values(hidden, idx, link, prices):
-    """Per-round expected reward of one subset (index list) over a T x N matrix."""
+    """Per-round expected reward over a T x N matrix of one subset, index
+    array shape (K,), or of one subset per round, shape (T, K)."""
+    offered = hidden[np.arange(hidden.shape[0])[:, None], idx]
+    util = offered.sum(axis=1)
     if link is not None:
-        return np.asarray(link(hidden[:, idx].sum(axis=1)), dtype=float)
-    util = hidden[:, idx].sum(axis=1)
-    revenue = (hidden[:, idx] * prices[idx]).sum(axis=1)
-    return revenue / (1.0 + util)
+        return np.asarray(link(util), dtype=float)
+    return (offered * prices[idx]).sum(axis=1) / (1.0 + util)
 
 
 def regret_of_run(records, link: LinkFunction | None = None,
@@ -94,8 +101,7 @@ def regret_of_run(records, link: LinkFunction | None = None,
     sequence.  Expected rewards are used throughout, never the realized
     feedback noise.
     """
-    if (link is None) == (prices is None):
-        raise ValueError("provide exactly one of link or prices")
+    check_feedback_model(link, prices)
     records = list(records)
     if not records:
         raise ValueError("empty run")
@@ -109,20 +115,14 @@ def regret_of_run(records, link: LinkFunction | None = None,
     table = subsets_by_rank(n_arms, subset_size)
     best_total, best_rank = -np.inf, -1
     for rank, combo in enumerate(table):  # ascending rank: ties keep the smaller
-        total = float(_subset_values(hidden, list(combo), link, prices).sum())
+        total = float(_subset_values(hidden, combo, link, prices).sum())
         if total > best_total:
             best_total, best_rank = total, rank
     benchmark = SubsetAction(tuple(int(i) for i in table[best_rank]), best_rank)
 
-    bench_vals = _subset_values(hidden, list(table[best_rank]), link, prices)
+    bench_vals = _subset_values(hidden, table[best_rank], link, prices)
     played_idx = np.array([list(r.subset.indices) for r in records], dtype=np.int64)
-    rows = np.arange(len(records))[:, None]
-    if link is not None:
-        played_vals = np.asarray(link(hidden[rows, played_idx].sum(axis=1)), dtype=float)
-    else:
-        util = hidden[rows, played_idx].sum(axis=1)
-        revenue = (hidden[rows, played_idx] * prices[played_idx]).sum(axis=1)
-        played_vals = revenue / (1.0 + util)
+    played_vals = _subset_values(hidden, played_idx, link, prices)
     inst = bench_vals - played_vals
     return RegretTrace(
         benchmark=benchmark,

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import LinkDomainError, LinkRangeError
@@ -88,6 +89,8 @@ def _cmd_find_hard(args) -> int:
     link = parse_link_arg(args.g)
     if args.grid < 1:
         raise ValueError(f"--grid must be a positive integer, got {args.grid}")
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"--out {args.out!r} is not a file path in an existing directory")
     instance = find_hard_instance(link, m=args.m, b=args.b,
                                   grid_step=1.0 / args.grid,
                                   x0_candidates=args.x0)

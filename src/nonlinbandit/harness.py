@@ -5,7 +5,8 @@ an environment and a learner stream seeded by the two children of
 ``SeedSequence(base_seed, spawn_key=(r,))``, so no two (base seed,
 replication) pairs share a stream, and every horizon of a sweep reuses the
 same replication seeds (common random numbers).  The R replications of one
-(algorithm, horizon) cell advance in lockstep in ``kernel.run_batch``.  A
+(algorithm, horizon) cell advance in lockstep in ``kernel.run_batch``, in the
+horizon's adversary and channel, which are built once per run.  A
 replication gives the same bits alone or in a batch, so a batch that raises
 is re-run one replication at a time and only the replications that fail
 alone are recorded as failed; :func:`run_replication` re-runs one
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import regret_of_run
+from .analysis import check_feedback_model, regret_of_run
 from .core import (
     LinkFunction,
     MnlLink,
@@ -177,32 +178,32 @@ def _resolve_delta(spec, instance, link, dims, horizon) -> float:
     return float(delta)
 
 
-def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction,
-                    horizon: int) -> tuple[Adversary, np.ndarray | None]:
-    """Instantiate the adversary; returns (adversary, prices) where prices is
-    None for binary-feedback channels and the price vector for choice feedback."""
+def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction, horizon: int
+                    ) -> tuple[Adversary, BernoulliChannel | ChoiceChannel]:
+    """Instantiate the adversary and its channel, the one place that picks the
+    feedback model: choice at unit prices (``mnl_hard``) or the spec's
+    (``mnl_general``), else Bernoulli through ``link``; checks the cap."""
+    subsets = subsets_by_rank(dims.n_arms, dims.subset_size)
     kind = spec.get("kind")
     if kind in HARD_KINDS:
         instance = _load_instance(spec)
         delta = _resolve_delta(spec, instance, link, dims, horizon)
-        if kind == "hard_nonpoly" and instance.m != dims.subset_size:
-            raise ValueError("general hard adversary needs a planted set of size K")
         if kind == "hard_poly":
             if dims.degree is None or instance.m != dims.degree:
                 raise ValueError("polynomial hard adversary needs dims.d == instance.m")
             if instance.m >= dims.subset_size:
                 raise ValueError("polynomial hard adversary needs m < K")
-        if kind == "mnl_hard":
-            if not isinstance(link, MnlLink):
-                raise ValueError("mnl_hard requires the MNL link")
-            if instance.m != dims.subset_size:
-                raise ValueError("mnl_hard needs a planted set of size K")
+        elif instance.m != dims.subset_size:
+            raise ValueError(f"{kind} adversary needs a planted set of size K")
+        if kind == "mnl_hard" and not isinstance(link, MnlLink):
+            raise ValueError("mnl_hard requires the MNL link")
         adversary = HardMixtureAdversary(
             instance, link, spec["s_star"], delta,
             n_arms=dims.n_arms, subset_size=dims.subset_size,
         )
-        prices = np.ones(dims.n_arms) if kind == "mnl_hard" else None
-        return adversary, prices
+        if kind == "mnl_hard":
+            return adversary, ChoiceChannel(np.ones(dims.n_arms), subsets)
+        return adversary, BernoulliChannel(link, subsets)
     if kind in ("mnl_general", "oblivious"):
         schedule = (np.asarray(spec["schedule"], dtype=float) if "schedule" in spec
                     else load_utility_schedule(spec["schedule_csv"], dims.n_arms))
@@ -212,16 +213,16 @@ def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction,
             raise ValueError(f"schedule covers {schedule.shape[0]} rounds, "
                              f"horizon needs {horizon}")
         if kind == "oblivious":
-            return ObliviousAdversary(schedule), None
+            return ObliviousAdversary(schedule), BernoulliChannel(link, subsets)
         prices = np.asarray(spec["prices"], dtype=float)
         if prices.shape != (dims.n_arms,):
             raise ValueError("prices must have one entry per arm")
-        return ObliviousAdversary(schedule), prices
+        return ObliviousAdversary(schedule), ChoiceChannel(prices, subsets)
     if kind == "stochastic":
         values = np.asarray(spec["v"], dtype=float)
         if values.shape != (dims.n_arms,):
             raise ValueError(f"v must have one entry per arm ({dims.n_arms})")
-        return StochasticAdversary(values), None
+        return StochasticAdversary(values), BernoulliChannel(link, subsets)
     raise ValueError(f"unknown adversary kind {kind!r}")
 
 
@@ -249,7 +250,10 @@ def build_learner(spec: dict, dims: ProblemDims, horizon: int, link: LinkFunctio
         return Exp2(dims.n_arms, dims.subset_size, dims.degree, horizon,
                     eta=params.get("eta"), gamma_mix=params.get("gamma_mix"),
                     replications=replications)
-    return ConstantPolicy(SubsetAction.from_indices(params["subset"], dims.n_arms),
+    subset = params["subset"]
+    if len(subset) != dims.subset_size:
+        raise ValueError(f"constant subset {subset} must hold K = {dims.subset_size} arms")
+    return ConstantPolicy(SubsetAction.from_indices(subset, dims.n_arms),
                           replications=replications)
 
 
@@ -270,8 +274,7 @@ def simulate(adversary: Adversary, learner, horizon: int, rng,
     Each round draws the kernel's fixed layout, so with the streams of
     ``kernel.replication_seeds`` this is the reference for ``run_batch``.
     """
-    if (link is None) == (prices is None):
-        raise ValueError("provide exactly one of link or prices")
+    check_feedback_model(link, prices)
     if learner_rng is None:
         learner_rng = rng
     records: list[EnvRecord] = []
@@ -318,23 +321,24 @@ def _checkpoint_rounds(horizon: int, full_trace: bool) -> np.ndarray:
     return np.unique(np.append(np.clip(pts, 1, horizon), horizon))
 
 
-def _cell_parts(config: ExperimentConfig, algo_spec: dict, horizon: int,
-                replications: int):
+def _environments(config: ExperimentConfig, horizons) -> list[tuple]:
+    """Each horizon's (link, adversary, channel), built once and shared by every
+    algorithm, batch and re-run; with one learner of each algorithm, so a
+    configuration problem stops the run before its first replication."""
     link = build_link(config.link_spec)
-    adversary, prices = build_adversary(config.adversary_spec, config.dims, link, horizon)
-    learner = build_learner(algo_spec, config.dims, horizon, link, replications)
-    return link, adversary, prices, learner
+    environments = [(link, *build_adversary(config.adversary_spec, config.dims, link,
+                                            horizon)) for horizon in horizons]
+    for spec in config.algorithm_specs:
+        build_learner(spec, config.dims, horizons[0], link)
+    return environments
 
 
-def _run_cell(config: ExperimentConfig, algo_spec: dict, horizon: int,
+def _run_cell(config: ExperimentConfig, environment, algo_spec: dict, horizon: int,
               run_ids: list[int]) -> list[RunResult]:
-    """Replications ``run_ids`` of one (algorithm, horizon) cell as one batch;
-    any error aborts the batch."""
-    link, adversary, prices, learner = _cell_parts(config, algo_spec, horizon,
-                                                   len(run_ids))
-    subsets = subsets_by_rank(config.dims.n_arms, config.dims.subset_size)
-    channel = (BernoulliChannel(link, subsets) if prices is None
-               else ChoiceChannel(prices, subsets))
+    """Replications ``run_ids`` of one (algorithm, horizon) cell as one batch
+    in the horizon's ``environment``; any error aborts the batch."""
+    link, adversary, channel = environment
+    learner = build_learner(algo_spec, config.dims, horizon, link, len(run_ids))
     start = time.perf_counter()
     trace = run_batch(adversary, learner, channel, horizon,
                       [replication_seeds(config.base_seed, r) for r in run_ids],
@@ -353,45 +357,45 @@ def _run_cell(config: ExperimentConfig, algo_spec: dict, horizon: int,
     ]
 
 
-def _safe_cell(config: ExperimentConfig, algo_spec: dict, horizon: int,
+def _safe_cell(config: ExperimentConfig, environment, algo_spec: dict, horizon: int,
                run_ids: list[int]) -> list[RunResult]:
     """:func:`_run_cell` with failure isolation: a batch that raises is re-run
     one replication at a time, and a replication that raises alone becomes a
     recorded failure instead of aborting its siblings."""
     try:
-        return _run_cell(config, algo_spec, horizon, run_ids)
+        return _run_cell(config, environment, algo_spec, horizon, run_ids)
     except Exception as exc:  # recorded, never propagated past this replication
         if len(run_ids) > 1:
             return [res for run_id in run_ids
-                    for res in _safe_cell(config, algo_spec, horizon, [run_id])]
+                    for res in _safe_cell(config, environment, algo_spec, horizon, [run_id])]
         return [RunResult(run_id=run_ids[0], seed=config.base_seed,
                           config_hash=config.config_hash(), checkpoints=[],
                           final_regret=float("nan"), wall_time_s=0.0,
                           error=f"{type(exc).__name__}: {exc}")]
 
 
-def run_replication(config: ExperimentConfig, run_id: int, algo_spec: dict | None = None,
-                    horizon: int | None = None) -> RunResult:
-    """Re-run replication ``run_id`` of ``config`` alone, with the same bits it
-    has inside its batch.  Defaults: the first algorithm, the config horizon."""
+def run_replication(config: ExperimentConfig, run_id: int) -> RunResult:
+    """Re-run replication ``run_id`` of ``config`` alone (the first algorithm
+    at the config horizon), with the same bits it has inside its batch."""
     if run_id < 0:
         raise ValueError("run_id must be >= 0")
-    return _safe_cell(config,
-                      config.algorithm_specs[0] if algo_spec is None else algo_spec,
-                      config.dims.horizon if horizon is None else horizon, [run_id])[0]
+    horizon = config.dims.horizon
+    [environment] = _environments(config, [horizon])
+    return _safe_cell(config, environment, config.algorithm_specs[0], horizon, [run_id])[0]
 
 
 def reference_replication(config: ExperimentConfig, algo_spec: dict, horizon: int,
                           run_id: int) -> RunResult:
-    """Replication ``run_id`` on the per-round reference path:
-    :func:`simulate` and ``regret_of_run`` on the same streams as the kernel."""
-    link, adversary, prices, learner = _cell_parts(config, algo_spec, horizon, 1)
+    """Replication ``run_id`` on the per-round reference path: :func:`simulate`
+    and ``regret_of_run`` on the kernel's streams and environment."""
+    [(link, adversary, channel)] = _environments(config, [horizon])
+    learner = build_learner(algo_spec, config.dims, horizon, link)
     env_seed, learner_seed = replication_seeds(config.base_seed, run_id)
-    feedback = {"link": link} if prices is None else {"prices": prices}
     start = time.perf_counter()
     records = simulate(adversary, learner, horizon, np.random.default_rng(env_seed),
-                       learner_rng=np.random.default_rng(learner_seed), **feedback)
-    trace = regret_of_run(records, **feedback)
+                       link=channel.link, prices=channel.prices,
+                       learner_rng=np.random.default_rng(learner_seed))
+    trace = regret_of_run(records, link=channel.link, prices=channel.prices)
     elapsed = time.perf_counter() - start
     rows = [(int(t), records[t - 1].subset.rank, records[t - 1].reward,
              float(trace.inst_regret[t - 1]), float(trace.cum_regret[t - 1]))
@@ -401,23 +405,13 @@ def reference_replication(config: ExperimentConfig, algo_spec: dict, horizon: in
                      final_regret=trace.final_regret, wall_time_s=elapsed)
 
 
-def _validate_builds(config: ExperimentConfig, horizon: int):
-    """Fail fast before any replication starts: on configuration problems,
-    and on a subset enumeration past the cap, which every cell runs."""
-    link = build_link(config.link_spec)
-    build_adversary(config.adversary_spec, config.dims, link, horizon)
-    for spec in config.algorithm_specs:
-        build_learner(spec, config.dims, horizon, link)
-    subsets_by_rank(config.dims.n_arms, config.dims.subset_size)
-
-
 def run_experiment(config: ExperimentConfig) -> list[RunResult]:
     """Run-mode execution: a single algorithm at the configured horizon."""
     if len(config.algorithm_specs) != 1:
         raise ValueError("run mode takes exactly one algorithm; use sweep for several")
     horizon = config.dims.horizon
-    _validate_builds(config, horizon)
-    return _safe_cell(config, config.algorithm_specs[0], horizon,
+    [environment] = _environments(config, [horizon])
+    return _safe_cell(config, environment, config.algorithm_specs[0], horizon,
                       list(range(config.replications)))
 
 
@@ -430,12 +424,12 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     horizon reuses the same replication seeds.
     """
     grid = config.t_grid if config.t_grid is not None else [config.dims.horizon]
-    for horizon in grid:
-        _validate_builds(config, horizon)
+    environments = _environments(config, grid)
     rows = []
     for algo in config.algorithm_specs:
-        for horizon in grid:
-            results = _safe_cell(config, algo, horizon, list(range(config.replications)))
+        for horizon, environment in zip(grid, environments):
+            results = _safe_cell(config, environment, algo, horizon,
+                                 list(range(config.replications)))
             finals = np.array([r.final_regret for r in results if r.error is None])
             if finals.size == 0:
                 mean, stderr = float("nan"), float("nan")

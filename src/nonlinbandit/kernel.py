@@ -38,6 +38,7 @@ class BernoulliChannel:
 
     def __init__(self, link: LinkFunction, subsets: np.ndarray):
         self.link = link
+        self.prices = None  # link or prices: the reference path's feedback model
         self.subsets = subsets
 
     def subset_values(self, hidden: np.ndarray) -> np.ndarray:
@@ -55,6 +56,7 @@ class ChoiceChannel:
     """Multinomial-logit purchase of one offered item at its price."""
 
     def __init__(self, prices, subsets: np.ndarray):
+        self.link = None  # as on BernoulliChannel
         self.prices = np.asarray(prices, dtype=float)
         check_unit_interval(self.prices, "prices", tol=0.0)
         self.subsets = subsets

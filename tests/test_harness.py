@@ -8,6 +8,8 @@ import pytest
 
 from nonlinbandit import (
     ExperimentConfig,
+    MnlLink,
+    ProblemDims,
     reference_replication,
     run_experiment,
     run_replication,
@@ -15,7 +17,7 @@ from nonlinbandit import (
     write_run_csv,
 )
 from nonlinbandit.cli import main, parse_link_arg
-from nonlinbandit.harness import ALGORITHM_PARAMS
+from nonlinbandit.harness import ALGORITHM_PARAMS, build_learner
 
 
 def _hard_run_config(instance, algo, *, n_arms=5, subset_size=2, horizon=400,
@@ -273,11 +275,11 @@ def test_failed_replication_recorded_others_proceed(mnl_hard_m2, monkeypatch, tm
     clean = run_experiment(config)
     original = harness_mod._run_cell
 
-    def flaky(config, algo, horizon, run_ids):
+    def flaky(config, environment, algo, horizon, run_ids):
         # any batch holding replication 1 raises, as a numeric failure would
         if 1 in run_ids:
             raise RuntimeError("boom")
-        return original(config, algo, horizon, run_ids)
+        return original(config, environment, algo, horizon, run_ids)
 
     monkeypatch.setattr(harness_mod, "_run_cell", flaky)
     results = run_experiment(config)
@@ -528,10 +530,10 @@ def test_cli_sweep_exits_two_when_replications_fail(tmp_path, mnl_hard_m2, monke
 
     original = harness_mod._run_cell
 
-    def flaky(config, algo, horizon, run_ids):
+    def flaky(config, environment, algo, horizon, run_ids):
         if 1 in run_ids and horizon == 120:
             raise RuntimeError("boom")
-        return original(config, algo, horizon, run_ids)
+        return original(config, environment, algo, horizon, run_ids)
 
     monkeypatch.setattr(harness_mod, "_run_cell", flaky)
     config = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, reps=3,
@@ -721,3 +723,69 @@ def test_parse_link_arg():
     assert tab(1.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         parse_link_arg("spline")
+
+
+@pytest.mark.parametrize("subset", [[0, 1, 2], [3]], ids=["three-arms", "one-arm"])
+def test_constant_subset_must_hold_k_arms(tmp_path, capsys, subset):
+    # at N = 5, K = 2 these used to play rank 0 = {0, 1} and rank 3 = {0, 3}
+    algo = {"name": "constant", "params": {"subset": subset}}
+    with pytest.raises(ValueError, match="K = 2"):
+        build_learner(algo, ProblemDims(n_arms=5, subset_size=2, horizon=50), 50, MnlLink())
+    for command in ("run", "sweep"):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({**_EXP2_CONFIG, "algorithms": [algo]}))
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "K = 2" in captured.err
+        assert "run 0" not in captured.out and "T=50" not in captured.out
+
+
+@pytest.mark.parametrize("out", ["{dir}", "{dir}/missing/inst.json"],
+                         ids=["directory", "missing-parent"])
+def test_cli_find_hard_checks_out_before_the_search(tmp_path, monkeypatch, capsys, out):
+    from nonlinbandit import cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran although --out cannot be written")
+
+    # m = 4 on the 1/50 grid would search for seconds
+    monkeypatch.setattr(cli, "find_hard_instance", no_search)
+    code = main(["find-hard", "--g", "mnl", "--m", "4", "--b", "4", "--grid", "50",
+                 "--out", out.format(dir=tmp_path)])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_horizon_builds_its_adversary_once(mnl_hard_m2, monkeypatch):
+    # verifying the instance and scanning the KL coefficient happen once per
+    # horizon, whatever the number of algorithms, batches and re-runs
+    import nonlinbandit.environments as environments_mod
+    import nonlinbandit.harness as harness_mod
+
+    verify = _count_calls(monkeypatch, environments_mod, "verify_hard_instance")
+    kl = _count_calls(monkeypatch, harness_mod, "kl_coefficient")
+    cfg = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, delta="auto",
+                           reps=2, t_grid=[50, 100, 200]).to_dict()
+    cfg["algorithms"].append({"name": "tsallis_inf", "params": {}})
+    rows = run_sweep(ExperimentConfig.from_dict(cfg))
+    assert [row["reps"] for row in rows] == [2] * 6
+    assert (len(verify), len(kl)) == (3, 3)
+    verify.clear()
+    kl.clear()
+    run = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, delta="auto")
+    assert all(r.error is None for r in run_experiment(run))
+    assert (len(verify), len(kl)) == (1, 1)
