@@ -283,6 +283,14 @@ def check_unit_interval(values, what: str, tol: float = 1e-12,
         raise error(f"{what} outside [0, 1]")
 
 
+def whole_number(value, what: str) -> int:
+    """``value`` as an int; a number with a fractional part raises ValueError
+    naming ``what`` instead of being truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def subset_sums(values, combos: np.ndarray) -> np.ndarray:
     """Sum of ``values[..., i]`` over each row of ``combos`` (A x K), added
     left to right so every entry carries the same bits as the scalar loop of

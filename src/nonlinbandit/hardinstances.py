@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LinkFunction, check_enumeration, subset_sums, subsets_by_rank
+from .core import LinkFunction, check_enumeration, subset_sums, subsets_by_rank, whole_number
 
 DEFAULT_X0_CANDIDATES = tuple(round(0.05 * k, 2) for k in range(1, 20))
 DEFAULT_EQ_TOL = 1e-8
@@ -303,8 +303,8 @@ class HardInstance:
     def from_json_dict(cls, data: dict) -> "HardInstance":
         return cls(
             x0=float(data["x0"]),
-            m=int(data["m"]),
-            b=int(data["b"]),
+            m=whole_number(data["m"], "instance m"),
+            b=whole_number(data["b"], "instance b"),
             support=np.asarray(data["support"], dtype=float),
             weights=np.asarray(data["weights"], dtype=float),
             gamma=float(data["gamma"]),

@@ -35,6 +35,7 @@ from .core import (
     TabulatedLink,
     expected_reward,
     subsets_by_rank,
+    whole_number,
 )
 from .environments import (
     Adversary,
@@ -103,17 +104,18 @@ class ExperimentConfig:
             dims = data["dims"]
             return cls(
                 dims=ProblemDims(
-                    n_arms=int(dims["N"]),
-                    subset_size=int(dims["K"]),
-                    horizon=int(dims["T"]),
-                    degree=None if dims.get("d") is None else int(dims["d"]),
+                    n_arms=whole_number(dims["N"], "N"),
+                    subset_size=whole_number(dims["K"], "K"),
+                    horizon=whole_number(dims["T"], "T"),
+                    degree=None if dims.get("d") is None else whole_number(dims["d"], "d"),
                 ),
                 link_spec=dict(data["link"]),
                 adversary_spec=dict(data["adversary"]),
                 algorithm_specs=[dict(a) for a in data["algorithms"]],
-                replications=int(data.get("replications", 1)),
-                base_seed=int(data.get("base_seed", 0)),
-                t_grid=None if data.get("t_grid") is None else [int(t) for t in data["t_grid"]],
+                replications=whole_number(data.get("replications", 1), "replications"),
+                base_seed=whole_number(data.get("base_seed", 0), "base_seed"),
+                t_grid=(None if data.get("t_grid") is None
+                        else [whole_number(t, "t_grid entry") for t in data["t_grid"]]),
                 output=data.get("output"),
                 full_trace=bool(data.get("full_trace", False)),
             )
@@ -324,12 +326,16 @@ def _checkpoint_rounds(horizon: int, full_trace: bool) -> np.ndarray:
 def _environments(config: ExperimentConfig, horizons) -> list[tuple]:
     """Each horizon's (link, adversary, channel), built once and shared by every
     algorithm, batch and re-run; with one learner of each algorithm, so a
-    configuration problem stops the run before its first replication."""
-    link = build_link(config.link_spec)
-    environments = [(link, *build_adversary(config.adversary_spec, config.dims, link,
-                                            horizon)) for horizon in horizons]
-    for spec in config.algorithm_specs:
-        build_learner(spec, config.dims, horizons[0], link)
+    configuration problem stops the run before its first replication.  A spec
+    value of the wrong JSON type raises ValueError, as in ``from_dict``."""
+    try:
+        link = build_link(config.link_spec)
+        environments = [(link, *build_adversary(config.adversary_spec, config.dims, link,
+                                                horizon)) for horizon in horizons]
+        for spec in config.algorithm_specs:
+            build_learner(spec, config.dims, horizons[0], link)
+    except TypeError as exc:
+        raise ValueError(f"malformed config: {exc}") from exc
     return environments
 
 

@@ -5,13 +5,19 @@ All learners are loss minimizers with the convention loss = 1 - reward; the
 tensorized learner keeps cumulative reward estimates internally, which is
 the same update up to an action-independent shift.
 
-Every learner holds R replications as the rows of (R, A) state arrays and
-advances them in lockstep: ``select_ranks(u)`` maps one uniform per row to
-the played ranks and ``update_ranks(ranks, rewards)`` applies one observation
-per row.  A row's arithmetic never reads its siblings, so a replication
-carries the same bits alone (R = 1) or in a batch.  With R = 1 the object
-API ``select(rng)`` / ``update(action, reward)`` drives the same code, and a
-round draws exactly one uniform from the learner's stream.
+Every learner holds R replications as the rows of (R, A) state arrays
+(``losses`` on :class:`SubsetMab`, ``estimates`` on :class:`Exp2`) and
+advances them in lockstep through one round protocol, :class:`_Batched`:
+``select_ranks(u)`` samples one rank per row from the state's distribution
+and keeps that distribution for the round, and ``update_ranks(ranks,
+rewards)`` applies one observation per row with it and closes the round.
+A distribution is a function of the state alone, so reading it between
+rounds (``sampling_distribution()``) or writing the state changes what the
+next round sees and nothing else.  A row's arithmetic never reads its
+siblings, so a replication carries the same bits alone (R = 1) or in a
+batch.  With R = 1 the object API ``select(rng)`` / ``update(action,
+reward)`` drives the same code, and a round draws exactly one uniform from
+the learner's stream.
 """
 from __future__ import annotations
 
@@ -49,18 +55,41 @@ def _sample_ranks(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 class _Batched:
-    """Helpers of the single-replication object API (``select`` / ``update``,
-    defined on each learner) on top of the batched methods."""
+    """The round protocol of every learner, batched over R replications.
+
+    A learner supplies ``_rows()``, the (R, A) sampling distribution of its
+    current state, and ``_observe(ranks, rewards, probs)``, which applies one
+    observation per row drawn from ``probs``.  ``select_ranks`` keeps the
+    distribution it sampled from until ``update_ranks`` hands it to
+    ``_observe`` (a fresh one when no round is open), counts the round and
+    drops it, so no distribution outlives its round.  The single-replication
+    object API (``select`` / ``update``, defined on each learner) runs on
+    top of these with R = 1.
+    """
 
     replications = 1
+    _round: np.ndarray | None = None
+
+    def sampling_distribution(self) -> np.ndarray:
+        """The distribution over subset ranks that the next round samples
+        from: (A,) for one replication, (R, A) for a batch."""
+        probs = self._rows()
+        return probs[0] if self.replications == 1 else probs
+
+    def select_ranks(self, uniforms: np.ndarray) -> np.ndarray:
+        self._round = self._rows()
+        return _sample_ranks(self._round, uniforms)
+
+    def update_ranks(self, ranks: np.ndarray, rewards: np.ndarray):
+        check_unit_interval(rewards, "reward", tol=0.0)
+        self._observe(ranks, rewards, self._rows() if self._round is None else self._round)
+        self.rounds += 1
+        self._round = None
 
     def _solo(self):
         if self.replications != 1:
             raise ValueError("select/update drive one replication; "
                              "use select_ranks/update_ranks for a batch")
-
-    def _rows_or_solo(self, state: np.ndarray) -> np.ndarray:
-        return state[0] if self.replications == 1 else state
 
     def _solo_rank(self, rng) -> int:
         """The rank one replication plays, from one uniform of ``rng``."""
@@ -168,11 +197,11 @@ class SubsetMab(_Batched):
     ``algorithm`` picks the weight map: ``exp3`` uses exponential weights with
     the anytime rate sqrt(ln A / (A t)) and optional uniform mixing;
     ``tsallis_inf`` uses the 1/2-Tsallis mirror map with rate 2/sqrt(t),
-    normalized by :func:`tsallis_rows` warm-started from the previous round,
-    and takes no mixing.
-    Updates apply the importance-weighted loss estimate (1 - reward)/p to the
-    played arm only.  ``losses`` holds the (R, A) cumulative loss estimates;
-    ``cum_losses`` is its single row when R = 1.
+    normalized by :func:`tsallis_rows` warm-started from the normalizers of
+    the last completed round, and takes no mixing.
+    The state is ``losses``, the (R, A) cumulative loss estimates, and
+    ``rounds``; each round of the :class:`_Batched` protocol adds the
+    importance-weighted loss estimate (1 - reward)/p to the played arm only.
     """
 
     algorithms = ("exp3", "tsallis_inf")
@@ -195,56 +224,35 @@ class SubsetMab(_Batched):
         self.replications = replications
         self.losses = np.zeros((replications, count))
         self.rounds = 0
-        self._rows = np.arange(replications)
-        self._dist: np.ndarray | None = None
+        self._index = np.arange(replications)
+        # Tsallis-INF: the normalizers of the last completed round (the warm
+        # start) and those of the latest solve, committed by _observe
         self._normalizers: np.ndarray | None = None
+        self._solved: np.ndarray | None = None
 
-    @property
-    def cum_losses(self) -> np.ndarray:
-        return self._rows_or_solo(self.losses)
+    def _rows(self) -> np.ndarray:
+        t = self.rounds + 1
+        a = self.n_actions
+        if self.algorithm == "tsallis_inf":
+            p, self._solved = tsallis_rows(self.losses, 2.0 / math.sqrt(t),
+                                           start=self._normalizers)
+            return p
+        eta = math.sqrt(math.log(a) / (a * t)) if a > 1 else 0.0
+        p = np.exp(-eta * (self.losses - self.losses.min(axis=1, keepdims=True)))
+        p /= p.sum(axis=1, keepdims=True)
+        if self.mixing > 0:
+            p = (1.0 - self.mixing) * p + self.mixing / a
+        return p
 
-    @cum_losses.setter
-    def cum_losses(self, value):
-        self.losses = np.array(value, dtype=float).reshape(self.replications,
-                                                           self.n_actions)
-        self._dist = None
-
-    def _probabilities(self) -> np.ndarray:
-        if self._dist is None:
-            t = self.rounds + 1
-            a = self.n_actions
-            if self.algorithm == "exp3":
-                eta = math.sqrt(math.log(a) / (a * t)) if a > 1 else 0.0
-                p = np.exp(-eta * (self.losses - self.losses.min(axis=1, keepdims=True)))
-                p /= p.sum(axis=1, keepdims=True)
-                if self.mixing > 0:
-                    p = (1.0 - self.mixing) * p + self.mixing / a
-            else:
-                p, self._normalizers = tsallis_rows(self.losses, 2.0 / math.sqrt(t),
-                                                    start=self._normalizers)
-            self._dist = p
-        return self._dist
-
-    def distribution(self) -> np.ndarray:
-        """Current sampling distribution over subset ranks: (A,) for one
-        replication, (R, A) for a batch."""
-        return self._rows_or_solo(self._probabilities())
+    def _observe(self, ranks: np.ndarray, rewards: np.ndarray, probs: np.ndarray):
+        self.losses[self._index, ranks] += (1.0 - rewards) / probs[self._index, ranks]
+        self._normalizers = self._solved
 
     def select(self, rng) -> SubsetAction:
         return self._action(self._solo_rank(rng))
 
     def update(self, action: SubsetAction, reward: float):
         self._solo_update(action.rank, reward)
-
-    def select_ranks(self, uniforms: np.ndarray) -> np.ndarray:
-        return _sample_ranks(self._probabilities(), uniforms)
-
-    def update_ranks(self, ranks: np.ndarray, rewards: np.ndarray):
-        check_unit_interval(rewards, "reward", tol=0.0)
-        probs = self._probabilities()[self._rows, ranks]
-        self.losses[self._rows, ranks] += (1.0 - rewards) / probs
-        self.rounds += 1
-        self._dist = None
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +335,10 @@ class Exp2(_Batched):
     one r x r solve per round and replication, r = C(N, d'), replaces the
     N^d x N^d pseudo-inverse; a batch stacks the R systems into one
     (R, r, r) solve.  Only the reference path the tests compare against,
-    ``second_moment_pinv``, builds the N^d table.  ``estimates`` holds the
-    (R, A) cumulative reward estimates; ``cum_reward_estimates`` is its
-    single row when R = 1.
+    ``second_moment_pinv``, builds the N^d table.  The state is
+    ``estimates``, the (R, A) cumulative reward estimates, and ``rounds``;
+    each round of the :class:`_Batched` protocol adds the estimates of the
+    round's observation, taken under the distribution it was sampled from.
     """
 
     def __init__(self, n_arms: int, subset_size: int, order: int, horizon: int,
@@ -364,7 +373,6 @@ class Exp2(_Batched):
         self.replications = replications
         self.estimates = np.zeros((replications, count))
         self.rounds = 0
-        self._dist: np.ndarray | None = None
 
     @cached_property
     def features(self) -> np.ndarray:
@@ -372,32 +380,16 @@ class Exp2(_Batched):
         return np.stack([tensor_features(self._action(r), self.n_arms, self.order)
                          for r in range(self.n_actions)])
 
-    @property
-    def cum_reward_estimates(self) -> np.ndarray:
-        return self._rows_or_solo(self.estimates)
+    def _rows(self) -> np.ndarray:
+        q = np.exp(self.eta * (self.estimates - self.estimates.max(axis=1, keepdims=True)))
+        q /= q.sum(axis=1, keepdims=True)
+        return (1.0 - self.gamma_mix) * q + self.gamma_mix * (1.0 / self.n_actions)
 
-    @cum_reward_estimates.setter
-    def cum_reward_estimates(self, value):
-        self.estimates = np.array(value, dtype=float).reshape(self.replications,
-                                                              self.n_actions)
-        self._dist = None
+    def _observe(self, ranks: np.ndarray, rewards: np.ndarray, probs: np.ndarray):
+        self.estimates += self._estimate_rows(ranks, rewards, probs)
 
-    def _probabilities(self) -> np.ndarray:
-        if self._dist is None:
-            q = np.exp(self.eta * (self.estimates
-                                   - self.estimates.max(axis=1, keepdims=True)))
-            q /= q.sum(axis=1, keepdims=True)
-            self._dist = (1.0 - self.gamma_mix) * q + self.gamma_mix * (1.0 / self.n_actions)
-        return self._dist
-
-    def sampling_distribution(self) -> np.ndarray:
-        """(A,) for one replication, (R, A) for a batch."""
-        return self._rows_or_solo(self._probabilities())
-
-    def second_moment_pinv(self, probs=None) -> np.ndarray:
+    def second_moment_pinv(self, probs) -> np.ndarray:
         """Pseudo-inverse of the feature second-moment matrix of ``probs``."""
-        if probs is None:
-            probs = self.sampling_distribution()
         moment = self.features.T @ (np.asarray(probs)[:, None] * self.features)
         return np.linalg.pinv(moment, rcond=1e-10, hermitian=True)
 
@@ -408,11 +400,10 @@ class Exp2(_Batched):
         coef = np.linalg.solve(gram, inclusion[ranks][:, :, None])
         return (inclusion @ coef)[:, :, 0] * rewards[:, None]
 
-    def estimate_rewards(self, rank: int, reward: float, probs=None) -> np.ndarray:
+    def estimate_rewards(self, rank: int, reward: float, probs) -> np.ndarray:
         """Per-action reward estimates F M(p)^+ x_S r from one observed
-        (action, reward) pair, by a solve on the inclusion matrix."""
-        if probs is None:
-            probs = self.sampling_distribution()
+        (action, reward) pair under the distribution ``probs``, by a solve
+        on the inclusion matrix."""
         return self._estimate_rows(np.array([rank]), np.array([float(reward)]),
                                    np.asarray(probs, dtype=float)[None])[0]
 
@@ -421,15 +412,6 @@ class Exp2(_Batched):
 
     def update(self, action: SubsetAction, reward: float):
         self._solo_update(action.rank, reward)
-
-    def select_ranks(self, uniforms: np.ndarray) -> np.ndarray:
-        return _sample_ranks(self._probabilities(), uniforms)
-
-    def update_ranks(self, ranks: np.ndarray, rewards: np.ndarray):
-        check_unit_interval(rewards, "reward", tol=0.0)
-        self.estimates += self._estimate_rows(ranks, rewards, self._probabilities())
-        self.rounds += 1
-        self._dist = None
 
 
 class ConstantPolicy(_Batched):

@@ -160,8 +160,7 @@ def test_criterion_4_estimator_unbiasedness():
                 continue
             for order in (1, 2):
                 learner = Exp2(n_arms, k, order, horizon=100)
-                learner.cum_reward_estimates = rng.uniform(-1, 1, size=learner.n_actions)
-                learner._dist = None
+                learner.estimates[0] = rng.uniform(-1, 1, size=learner.n_actions)
                 probs = learner.sampling_distribution()
                 v = rng.uniform(0, 1, size=n_arms)
                 link = polys[order]

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -789,3 +790,99 @@ def test_each_horizon_builds_its_adversary_once(mnl_hard_m2, monkeypatch):
     run = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, delta="auto")
     assert all(r.error is None for r in run_experiment(run))
     assert (len(verify), len(kl)) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Mistyped JSON values and fractional integer fields
+# ---------------------------------------------------------------------------
+
+def _fuzz_configs(instance):
+    """Three valid T = 5 configs: a hard adversary, EXP2 on a stochastic one,
+    and a choice channel with a tabulated link."""
+    schedule = [[0.2, 0.5, 0.9, 0.4] for _ in range(5)]
+    return {
+        "hard_nonpoly-exp3": {
+            "dims": {"N": 4, "K": 2, "T": 5, "d": None},
+            "link": {"kind": "mnl"},
+            "adversary": {"kind": "hard_nonpoly", "instance": instance.to_json_dict(),
+                          "s_star": [0, 1], "delta": 0.2},
+            "algorithms": [{"name": "exp3", "params": {"mixing": 0.1}}],
+            "replications": 2, "base_seed": 3, "t_grid": [3, 5],
+        },
+        "stochastic-exp2": {
+            "dims": {"N": 4, "K": 2, "T": 5, "d": 2},
+            "link": {"kind": "polynomial", "coefficients": [0.1, 0.2, 0.05]},
+            "adversary": {"kind": "stochastic", "v": [0.1, 0.5, 0.9, 0.3]},
+            "algorithms": [{"name": "exp2", "params": {"eta": 0.05, "gamma_mix": 0.1}}],
+            "replications": 2, "base_seed": 0,
+        },
+        "mnl_general-constant": {
+            "dims": {"N": 4, "K": 2, "T": 5, "d": None},
+            "link": {"kind": "tabulated", "xs": [0.0, 1.0, 2.0], "ys": [0.0, 0.6, 0.9]},
+            "adversary": {"kind": "mnl_general", "schedule": schedule,
+                          "prices": [1.0, 0.5, 0.8, 1.0]},
+            "algorithms": [{"name": "constant", "params": {"subset": [1, 3]}}],
+            "replications": 2, "base_seed": 1, "full_trace": True,
+        },
+    }
+
+
+def _leaf_paths(node, path=()):
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield from _leaf_paths(child, path + (key,))
+
+
+def _with_leaf(config, path, value):
+    config = copy.deepcopy(config)
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+@pytest.mark.parametrize("value", [None, "x", [1], {"a": 1}, 2.5, -1, True],
+                         ids=["null", "string", "list", "dict", "fraction", "negative",
+                              "true"])
+@pytest.mark.parametrize("name", ["hard_nonpoly-exp3", "stochastic-exp2",
+                                  "mnl_general-constant"])
+def test_cli_survives_every_mistyped_leaf(tmp_path, mnl_hard_m2, name, value):
+    # every leaf of a valid config, replaced in turn: run and sweep end with
+    # an exit code, never a traceback
+    config = _fuzz_configs(mnl_hard_m2)[name]
+    cfg = tmp_path / "fuzz.json"
+    for path in _leaf_paths(config):
+        cfg.write_text(json.dumps(_with_leaf(config, path, value)))
+        for command in ("run", "sweep"):
+            try:
+                code = main([command, "--config", str(cfg)])
+            except Exception as exc:
+                pytest.fail(f"{command} with {path} = {value!r} raised {exc!r}")
+            assert code in (0, 1, 2), (command, path)
+
+
+@pytest.mark.parametrize("path, value, name", [
+    (("dims", "N"), 5.5, "N"),
+    (("dims", "K"), 2.5, "K"),
+    (("dims", "T"), 100.5, "T"),
+    (("dims", "d"), 2.5, "d"),
+    (("replications",), 1.5, "replications"),
+    (("base_seed",), 3.5, "base_seed"),
+    (("t_grid",), [10.5, 20], "t_grid entry"),
+    (("adversary", "instance", "m"), 2.5, "instance m"),
+    (("adversary", "instance", "b"), 2.5, "instance b"),
+], ids=["N", "K", "T", "d", "replications", "base_seed", "t_grid", "instance-m",
+        "instance-b"])
+def test_fractional_integer_field_exits_one(tmp_path, capsys, mnl_hard_m2, path, value, name):
+    # each of these used to be truncated by int() and run
+    config = _fuzz_configs(mnl_hard_m2)["stochastic-exp2" if name == "d" else "hard_nonpoly-exp3"]
+    cfg = tmp_path / "fraction.json"
+    cfg.write_text(json.dumps(_with_leaf(config, path, value)))
+    shown = value[0] if isinstance(value, list) else value
+    for command in ("run", "sweep"):
+        assert main([command, "--config", str(cfg)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {name} must be a whole number, got {shown!r}"]

@@ -29,7 +29,7 @@ from nonlinbandit import core, learners
 def test_initial_distribution_uniform():
     for algo in ("exp3", "tsallis_inf"):
         learner = SubsetMab(5, 2, algo)
-        assert np.allclose(learner.distribution(), 1 / 10)
+        assert np.allclose(learner.sampling_distribution(), 1 / 10)
 
 
 def test_exp3_hand_update():
@@ -37,12 +37,12 @@ def test_exp3_hand_update():
     arm0 = SubsetAction.from_rank(0, 2, 1)
     arm1 = SubsetAction.from_rank(1, 2, 1)
     learner.update(arm0, 1.0)  # full reward: zero estimated loss, no change
-    assert np.allclose(learner.distribution(), 0.5)
+    assert np.allclose(learner.sampling_distribution(), 0.5)
     learner.update(arm1, 0.0)  # zero reward: loss 1 / 0.5 = 2 on arm 1
-    assert np.allclose(learner.cum_losses, [0.0, 2.0])
+    assert np.allclose(learner.losses, [0.0, 2.0])
     eta = math.sqrt(math.log(2) / (2 * 3))
     expected_p0 = 1.0 / (1.0 + math.exp(-2 * eta))
-    p = learner.distribution()
+    p = learner.sampling_distribution()
     assert p[0] == pytest.approx(expected_p0, abs=1e-12)
     assert p[0] > 0.5  # the rewarded arm now dominates
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -53,7 +53,7 @@ def test_exp3_mixing_floor():
     arm1 = SubsetAction.from_rank(1, 2, 1)
     for _ in range(50):
         learner.update(arm1, 0.0)
-    assert learner.distribution().min() >= 0.1 - 1e-12
+    assert learner.sampling_distribution().min() >= 0.1 - 1e-12
 
 
 def test_tsallis_inf_rejects_mixing():
@@ -65,8 +65,8 @@ def test_tsallis_inf_rejects_mixing():
 
 def test_tsallis_equal_losses_uniform():
     learner = SubsetMab(4, 2, "tsallis_inf")
-    learner.cum_losses[:] = 3.7
-    assert np.allclose(learner.distribution(), 1 / 6, atol=1e-12)
+    learner.losses[:] = 3.7
+    assert np.allclose(learner.sampling_distribution(), 1 / 6, atol=1e-12)
 
 
 def test_tsallis_normalization_residual(rng):
@@ -135,7 +135,7 @@ def test_distributions_stay_valid_under_random_updates(rng):
         for _ in range(2500):
             action = learner.select(rng)
             learner.update(action, float(rng.integers(0, 2)))
-            p = learner.distribution()
+            p = learner.sampling_distribution()
             assert abs(p.sum() - 1.0) <= 1e-12
             assert np.all(p >= 0)
 
@@ -149,18 +149,18 @@ def test_loss_estimates_unbiased_exhaustive(rng):
         for _ in range(20):
             action = learner.select(rng)
             learner.update(action, float(rng.integers(0, 2)))
-        base = learner.cum_losses.copy()
-        p = learner.distribution()
+        base = learner.losses[0].copy()
+        p = learner.sampling_distribution()
         means = rng.uniform(0.1, 0.9, size=6)
         expected_estimate = np.zeros(6)
         for arm in range(6):
             for reward in (0.0, 1.0):
                 prob_r = means[arm] if reward == 1.0 else 1.0 - means[arm]
                 probe = SubsetMab(4, 2, algo)
-                probe.cum_losses = base.copy()
+                probe.losses[0] = base
                 probe.rounds = learner.rounds
                 probe.update(SubsetAction.from_rank(arm, 4, 2), reward)
-                expected_estimate += p[arm] * prob_r * (probe.cum_losses - base)
+                expected_estimate += p[arm] * prob_r * (probe.losses[0] - base)
         assert np.allclose(expected_estimate, 1.0 - means, atol=1e-10)
 
 
@@ -178,8 +178,8 @@ def test_exp3_at_underflow_scale():
         solos = [SubsetMab(5, 2, "exp3") for _ in range(2)]
         for learner, cum in ((batch, losses), (solos[0], losses[0]), (solos[1], losses[1])):
             learner.rounds = 10**7
-            learner.cum_losses = cum
-        p = batch.distribution()
+            learner.losses[:] = cum
+        p = batch.sampling_distribution()
         assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
         assert np.all((p == 0).sum(axis=1) == 4)
         # every cumulative boundary, the float below it and the extremes
@@ -194,7 +194,7 @@ def test_exp3_at_underflow_scale():
         batch.update_ranks(ranks, rewards)
         assert np.all(np.isfinite(batch.losses))
         for row, solo in enumerate(solos):
-            assert np.array_equal(solo.distribution(), p[row])
+            assert np.array_equal(solo.sampling_distribution(), p[row])
             assert solo.select_ranks(picks[row:row + 1])[0] == ranks[row]
             solo.update_ranks(ranks[row:row + 1], rewards[row:row + 1])
             assert np.array_equal(solo.losses[0], batch.losses[row])
@@ -419,12 +419,57 @@ def test_batched_learners_match_solo_rows():
             batch.select(rng)
 
 
+
+def _state(learner):
+    return learner.estimates if isinstance(learner, Exp2) else learner.losses
+
+
+@pytest.mark.parametrize("name", ["exp3", "tsallis_inf", "exp2"])
+def test_state_written_between_rounds_is_read(name):
+    # three ranks, uniform at the start: u = 0.5 plays rank 1 until the
+    # written state puts most of the mass on rank 0
+    learner = (Exp2(3, 2, 1, horizon=100, gamma_mix=0.1, eta=0.5) if name == "exp2"
+               else SubsetMab(3, 1, name))
+    assert np.allclose(learner.sampling_distribution(), 1 / 3)
+    assert learner.select_ranks(np.array([0.5]))[0] == 1
+    learner.update_ranks(np.array([1]), np.array([1.0]))
+    before = learner.sampling_distribution()
+    _state(learner)[0] = [50.0, 0.0, 0.0] if name == "exp2" else [0.0, 50.0, 50.0]
+    after = learner.sampling_distribution()
+    assert after[0] > 0.9 > before[0]
+    assert learner.select_ranks(np.array([0.5]))[0] == 0
+
+
+@pytest.mark.parametrize("name", ["exp3", "tsallis_inf", "exp2"])
+def test_reading_the_distribution_changes_nothing(name):
+    # Tsallis-INF warm-starts from the normalizers of the last completed
+    # round, so a read inside or between rounds must not move that start
+    def build():
+        if name == "exp2":
+            return Exp2(5, 2, 2, horizon=200, replications=3)
+        return SubsetMab(5, 2, name, replications=3)
+
+    rng = np.random.default_rng(13)
+    means = rng.uniform(0.1, 0.9, size=10)
+    read, quiet = build(), build()
+    for _ in range(200):
+        picks, coins = rng.random(3), rng.random(3)
+        before = read.sampling_distribution()
+        ranks = read.select_ranks(picks)
+        assert np.array_equal(read.sampling_distribution(), before)
+        assert np.array_equal(quiet.select_ranks(picks), ranks)
+        rewards = (coins < means[ranks]).astype(float)
+        read.update_ranks(ranks, rewards)
+        quiet.update_ranks(ranks, rewards)
+    assert np.array_equal(_state(read), _state(quiet))
+    assert read.rounds == quiet.rounds == 200
+
 def test_exp2_zero_rewards_stay_uniform(rng):
     learner = Exp2(3, 2, 1, horizon=50)
     for _ in range(20):
         action = learner.select(rng)
         learner.update(action, 0.0)
-    assert np.allclose(learner.cum_reward_estimates, 0.0)
+    assert np.allclose(learner.estimates, 0.0)
     q_part = learner.sampling_distribution() - learner.gamma_mix / learner.n_actions
     assert np.allclose(q_part, (1 - learner.gamma_mix) / 3, atol=1e-12)
 
@@ -433,8 +478,7 @@ def test_exp2_estimator_unbiased_small(rng):
     # exact expectation over action draw and Bernoulli outcome reproduces the
     # true per-action means for N=3, K=2, d=1
     learner = Exp2(3, 2, 1, horizon=1000)
-    learner.cum_reward_estimates = rng.uniform(-2, 2, size=3)
-    learner._dist = None
+    learner.estimates[0] = rng.uniform(-2, 2, size=3)
     p = learner.sampling_distribution()
     link = PolynomialLink([0.05, 0.4])
     v = rng.uniform(0, 1, size=3)
