@@ -49,19 +49,22 @@ class Adversary:
     Every round consumes exactly ``n_uniforms`` uniforms from the environment
     stream, whatever happens in it, so the stream never depends on the
     learner.  :meth:`reward_vector` draws one round from a generator (the
-    reference path); :meth:`reward_block` maps a block of already drawn
-    uniforms, shape (R, B, n_uniforms), to the hidden vectors of rounds
-    ``t0 .. t0 + B - 1``, shape (R, B, N), or (1, B, N) when they do not
-    depend on the draws.  Both give the same bits for the same uniforms.
+    reference path).  :meth:`column_block` maps a block of already drawn
+    uniforms, shape (R, B, n_uniforms), to the distinct values of rounds
+    ``t0 .. t0 + B - 1``, shape (R, B, C), or (1, B, C) when they do not
+    depend on the draws.  Arm i holds column ``arm_columns[i]``, so
+    ``column_block(t0, uniforms)[..., arm_columns]`` are the hidden vectors,
+    with the same bits as :meth:`reward_vector` for the same uniforms.
     """
 
     n_arms: int
     n_uniforms = 0
+    arm_columns: np.ndarray
 
     def reward_vector(self, t: int, rng) -> np.ndarray:
         raise NotImplementedError
 
-    def reward_block(self, t0: int, uniforms: np.ndarray) -> np.ndarray:
+    def column_block(self, t0: int, uniforms: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -73,11 +76,12 @@ class StochasticAdversary(Adversary):
         check_unit_interval(v, "values", tol=0.0)
         self.values = v
         self.n_arms = v.size
+        self.arm_columns = np.arange(v.size)
 
     def reward_vector(self, t, rng):
         return self.values.copy()
 
-    def reward_block(self, t0, uniforms):
+    def column_block(self, t0, uniforms):
         return np.broadcast_to(self.values, (1, uniforms.shape[-2], self.n_arms))
 
 
@@ -89,6 +93,7 @@ class ObliviousAdversary(Adversary):
         check_unit_interval(sched, "schedule values", tol=0.0)
         self.schedule = sched
         self.n_arms = sched.shape[1]
+        self.arm_columns = np.arange(self.n_arms)
 
     def _check_rounds(self, first, last):
         if not 1 <= first <= last <= self.schedule.shape[0]:
@@ -99,7 +104,7 @@ class ObliviousAdversary(Adversary):
         self._check_rounds(t, t)
         return self.schedule[t - 1].copy()
 
-    def reward_block(self, t0, uniforms):
+    def column_block(self, t0, uniforms):
         count = uniforms.shape[-2]
         self._check_rounds(t0, t0 + count - 1)
         return self.schedule[None, t0 - 1:t0 - 1 + count]
@@ -115,7 +120,9 @@ class HardMixtureAdversary(Adversary):
 
     A round takes ``m + 2`` uniforms: the planted test (planted when below
     ``delta``), the atom draw (inverse CDF over the weights), and m keys
-    whose argsort is the uniformly random permutation of the atom.
+    whose argsort is the uniformly random permutation of the atom.  A block
+    has m + 1 columns: the planted coordinates in arm order, then x0, which
+    every other arm holds.
     """
 
     def __init__(self, instance: HardInstance, link: LinkFunction, planted,
@@ -141,6 +148,8 @@ class HardMixtureAdversary(Adversary):
         self.n_arms = int(n_arms)
         self.subset_size = int(subset_size)
         self._planted_arr = np.array(planted, dtype=np.int64)
+        self.arm_columns = np.full(self.n_arms, instance.m)
+        self.arm_columns[self._planted_arr] = np.arange(instance.m)
         self._cum_weights = np.cumsum(instance.weights)
         self._cum_weights[-1] = 1.0
         self.n_uniforms = instance.m + 2
@@ -157,16 +166,16 @@ class HardMixtureAdversary(Adversary):
             v[self._planted_arr] = atom[np.argsort(keys)]
         return v
 
-    def reward_block(self, t0, uniforms):
+    def column_block(self, t0, uniforms):
         inst = self.instance
         planted = uniforms[..., 0] < self.delta
         atoms = inst.support[np.searchsorted(self._cum_weights, uniforms[..., 1],
                                              side="right")]
         shuffled = np.take_along_axis(atoms, np.argsort(uniforms[..., 2:], axis=-1),
                                       axis=-1)
-        v = np.full(uniforms.shape[:-1] + (self.n_arms,), inst.x0)
-        v[..., self._planted_arr] = np.where(planted[..., None], shuffled, inst.x0)
-        return v
+        columns = np.full(uniforms.shape[:-1] + (inst.m + 1,), inst.x0)
+        columns[..., :-1] = np.where(planted[..., None], shuffled, inst.x0)
+        return columns
 
 
 # ---------------------------------------------------------------------------

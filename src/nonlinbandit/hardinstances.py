@@ -263,6 +263,9 @@ class HardInstance:
         self.residuals = np.atleast_1d(np.asarray(self.residuals, dtype=float))
         if self.m < 1 or self.b < self.m:
             raise ValueError("need m >= 1 and b >= m")
+        if not all(np.all(np.isfinite(value)) for value in
+                   (self.x0, self.support, self.weights, self.gamma)):
+            raise ValueError("x0, support, weights and gamma must be finite")
         if not 0 <= self.x0 <= 1:
             raise ValueError("x0 must lie in [0, 1]")
         if self.support.shape[1] != self.m or self.support.shape[0] != self.weights.size:
@@ -614,9 +617,10 @@ def verify_hard_instance(instance: HardInstance, link: LinkFunction,
     gamma = instance.moment_mean(link, instance.m) - target
     max_resid = float(np.max(np.abs(residuals))) if residuals.size else 0.0
     messages = []
-    if max_resid > tol_eq:
+    # written so that a NaN residual or gap fails too
+    if not max_resid <= tol_eq:
         messages.append(f"moment residual {max_resid:.3g} exceeds tol_eq={tol_eq:.3g}")
-    if gamma < tol_gap:
+    if not gamma >= tol_gap:
         messages.append(f"gap {gamma:.3g} below tol_gap={tol_gap:.3g}")
     return HardInstanceReport(
         valid=not messages,

@@ -184,7 +184,8 @@ def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction, horizon: 
                     ) -> tuple[Adversary, BernoulliChannel | ChoiceChannel]:
     """Instantiate the adversary and its channel, the one place that picks the
     feedback model: choice at unit prices (``mnl_hard``) or the spec's
-    (``mnl_general``), else Bernoulli through ``link``; checks the cap."""
+    (``mnl_general``), else Bernoulli through ``link``, on the adversary's
+    columns; checks the cap, and the link's range on stochastic values."""
     subsets = subsets_by_rank(dims.n_arms, dims.subset_size)
     kind = spec.get("kind")
     if kind in HARD_KINDS:
@@ -204,8 +205,9 @@ def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction, horizon: 
             n_arms=dims.n_arms, subset_size=dims.subset_size,
         )
         if kind == "mnl_hard":
-            return adversary, ChoiceChannel(np.ones(dims.n_arms), subsets)
-        return adversary, BernoulliChannel(link, subsets)
+            return adversary, ChoiceChannel(np.ones(dims.n_arms), subsets,
+                                            adversary.arm_columns)
+        return adversary, BernoulliChannel(link, subsets, adversary.arm_columns)
     if kind in ("mnl_general", "oblivious"):
         schedule = (np.asarray(spec["schedule"], dtype=float) if "schedule" in spec
                     else load_utility_schedule(spec["schedule_csv"], dims.n_arms))
@@ -214,17 +216,23 @@ def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction, horizon: 
         if schedule.shape[0] < horizon:
             raise ValueError(f"schedule covers {schedule.shape[0]} rounds, "
                              f"horizon needs {horizon}")
+        adversary = ObliviousAdversary(schedule)
         if kind == "oblivious":
-            return ObliviousAdversary(schedule), BernoulliChannel(link, subsets)
+            return adversary, BernoulliChannel(link, subsets, adversary.arm_columns)
         prices = np.asarray(spec["prices"], dtype=float)
         if prices.shape != (dims.n_arms,):
             raise ValueError("prices must have one entry per arm")
-        return ObliviousAdversary(schedule), ChoiceChannel(prices, subsets)
+        return adversary, ChoiceChannel(prices, subsets, adversary.arm_columns)
     if kind == "stochastic":
         values = np.asarray(spec["v"], dtype=float)
         if values.shape != (dims.n_arms,):
             raise ValueError(f"v must have one entry per arm ({dims.n_arms})")
-        return StochasticAdversary(values), BernoulliChannel(link, subsets)
+        adversary = StochasticAdversary(values)
+        channel = BernoulliChannel(link, subsets, adversary.arm_columns)
+        # the class values never change: a link that leaves [0, 1] on them
+        # stops the run here, before any replication
+        channel.class_values(adversary.column_block(1, np.empty((1, 1, 0))))
+        return adversary, channel
     raise ValueError(f"unknown adversary kind {kind!r}")
 
 

@@ -7,17 +7,26 @@ cell in lockstep on (R, A) arrays:
    every round consumes a fixed number of uniforms from each: the
    adversary's ``n_uniforms`` plus one for the feedback from the first, one
    from the second.  Blocks of B rounds are therefore drawn per replication
-   as ``random((B, k))``, the environment stream never depends on the
-   learner, and the hidden vectors and the expected rewards of all subsets
-   are computed a block at a time.
-2. Only the learner steps round by round, on its (R, A) state.
-3. The per-subset expected-reward sums are accumulated online, which fixes
-   each replication's best subset in hindsight at the end.  The environment
-   stream is then replayed to read that subset's expected rewards at the
-   checkpoint rounds, so memory is O(R A) plus the checkpoint columns, not
-   one record per round.
+   as ``random((B, k))``, and the environment stream never depends on the
+   learner.
+2. A subset's value in a round depends only on its signature: the block
+   columns its slots read (``Adversary.arm_columns``, in slot order) and,
+   under choice feedback, their prices.  The subsets of one signature form
+   a class.  A hard mixture has few classes (8 of the 220 subsets at
+   N = 12, K = 3 with the planted arms lowest); under the stochastic and
+   oblivious adversaries each subset is its own class.  Per block, the
+   channel computes every class's expected reward and its realized reward
+   under the round's feedback uniform, an (R, B, S) reward table.
+3. Only the learner steps round by round, on its (R, A) state: it plays a
+   rank and reads its reward from the table.
+4. The per-class expected-reward sums are accumulated online and expanded
+   to the A subsets once at the end, which fixes each replication's best
+   subset in hindsight.  The environment stream is then replayed to read
+   that subset's class column at the checkpoint rounds, so memory is
+   O(R A) plus the checkpoint columns, not one record per round.
 
-The kernel carries the same bits as the per-round reference path
+Every class value is added in the same order as the sums of its subsets, so
+the kernel carries the same bits as the per-round reference path
 (``harness.simulate`` with ``analysis.regret_of_run``) for the played ranks
 and rewards; the regret sums are added in a different order.
 """
@@ -33,49 +42,72 @@ from .core import LinkFunction, LinkRangeError, check_unit_interval, subset_sums
 BLOCK_ELEMENTS = 1 << 15
 
 
+def subset_classes(arm_keys: np.ndarray, subsets: np.ndarray):
+    """Group the subsets (the rows of ``subsets``, by rank) whose slots carry
+    equal keys in the same order; ``arm_keys[i]`` is arm i's key, a scalar
+    or a row.  Returns the arms of each class's smallest-rank subset, shape
+    (S, K), and the class of each rank, shape (A,)."""
+    keys = arm_keys[subsets].reshape(subsets.shape[0], -1)
+    _, first, classes = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return subsets[first], classes.reshape(-1)
+
+
 class BernoulliChannel:
     """Binary feedback with mean g(sum of the offered values)."""
 
-    def __init__(self, link: LinkFunction, subsets: np.ndarray):
+    def __init__(self, link: LinkFunction, subsets: np.ndarray, arm_columns: np.ndarray):
         self.link = link
         self.prices = None  # link or prices: the reference path's feedback model
-        self.subsets = subsets
+        representatives, self.classes = subset_classes(arm_columns, subsets)
+        self.slots = arm_columns[representatives]
 
-    def subset_values(self, hidden: np.ndarray) -> np.ndarray:
-        """Expected reward of every subset (by rank) in every round of a block,
-        clamped to [0, 1] as in ``core.expected_reward``."""
-        ys = np.asarray(self.link(subset_sums(hidden, self.subsets)), dtype=float)
+    def class_values(self, columns: np.ndarray) -> np.ndarray:
+        """Expected reward of every class in every round of a block, clamped
+        to [0, 1] as in ``core.expected_reward``."""
+        ys = np.asarray(self.link(subset_sums(columns, self.slots)), dtype=float)
         check_unit_interval(ys, "link value", tol=1e-9, error=LinkRangeError)
         return np.clip(ys, 0.0, 1.0)
 
-    def rewards(self, hidden, ranks, means, uniforms) -> np.ndarray:
-        return (uniforms < means).astype(float)
+    def reward_table(self, columns, values, uniforms) -> np.ndarray:
+        """Reward of every class in every round: 1 when the round's feedback
+        uniform falls below the class's expected reward."""
+        return (uniforms[..., None] < values).astype(float)
 
 
 class ChoiceChannel:
     """Multinomial-logit purchase of one offered item at its price."""
 
-    def __init__(self, prices, subsets: np.ndarray):
+    def __init__(self, prices, subsets: np.ndarray, arm_columns: np.ndarray):
         self.link = None  # as on BernoulliChannel
         self.prices = np.asarray(prices, dtype=float)
         check_unit_interval(self.prices, "prices", tol=0.0)
-        self.subsets = subsets
+        # a class also fixes the price of each slot, bit for bit
+        keys = np.stack([arm_columns, self.prices.view(np.int64)], axis=1)
+        representatives, self.classes = subset_classes(keys, subsets)
+        self.slots = arm_columns[representatives]
+        self.slot_prices = self.prices[representatives]
 
-    def subset_values(self, hidden: np.ndarray) -> np.ndarray:
-        """Expected revenue of every subset (by rank) in every round of a block."""
-        util = subset_sums(hidden, self.subsets)
-        return subset_sums(hidden * self.prices, self.subsets) / (1.0 + util)
+    def class_values(self, columns: np.ndarray) -> np.ndarray:
+        """Expected revenue of every class in every round of a block."""
+        revenue = columns[..., self.slots[:, 0]] * self.slot_prices[:, 0]
+        for j in range(1, self.slots.shape[1]):
+            revenue = revenue + columns[..., self.slots[:, j]] * self.slot_prices[:, j]
+        return revenue / (1.0 + subset_sums(columns, self.slots))
 
-    def rewards(self, hidden, ranks, means, uniforms) -> np.ndarray:
-        """Rows of ``environments.mnl_sample_choice``: the uniform scaled by the
-        running bound 1 + v_1 + ... + v_K picks the first slot above it."""
-        offered = self.subsets[ranks]
-        rows = np.arange(offered.shape[0])[:, None]
-        bounds = np.cumsum(np.concatenate(
-            [np.ones((offered.shape[0], 1)), hidden[rows, offered]], axis=1), axis=1)
-        slot = (bounds <= (uniforms * bounds[:, -1])[:, None]).sum(axis=1)
-        arm = offered[rows[:, 0], np.minimum(slot, offered.shape[1]) - 1]
-        return np.where(slot > 0, self.prices[arm], 0.0)
+    def reward_table(self, columns, values, uniforms) -> np.ndarray:
+        """Revenue of every class in every round, as in
+        ``environments.mnl_sample_choice``: the feedback uniform scaled by the
+        running bound 1 + v_1 + ... + v_K counts the bounds at or below it,
+        and that count picks the purchased slot (none at 0)."""
+        bounds = [np.ones(columns.shape[:-1] + self.slots.shape[:1])]
+        for j in range(self.slots.shape[1]):
+            bounds.append(bounds[-1] + columns[..., self.slots[:, j]])
+        scaled = uniforms[..., None] * bounds[-1]
+        count = sum(bound <= scaled for bound in bounds)
+        revenue = np.zeros(scaled.shape)
+        for j in range(self.slots.shape[1]):
+            revenue = np.where(count > j, self.slot_prices[:, j], revenue)
+        return revenue
 
 
 @dataclass
@@ -119,19 +151,19 @@ def replication_seeds(base_seed: int, run_id: int):
 
 
 def _environment_blocks(adversary, channel, env_seeds, horizon: int, block: int):
-    """Yield (t0, hidden, feedback uniforms, subset values) per block, with
-    hidden and values broadcast to R rows."""
+    """Yield (t0, columns, feedback uniforms, class values) per block, with the
+    values broadcast to R rows."""
     streams = [np.random.default_rng(seed) for seed in env_seeds]
     width = adversary.n_uniforms + 1
     n_rows = len(streams)
     for t0 in range(1, horizon + 1, block):
         count = min(block, horizon + 1 - t0)
         draws = np.stack([stream.random((count, width)) for stream in streams])
-        hidden = adversary.reward_block(t0, draws[..., :-1])
-        check_unit_interval(hidden, "reward-vector entries")
-        values = channel.subset_values(hidden)
-        yield (t0, np.broadcast_to(hidden, (n_rows,) + hidden.shape[1:]),
-               draws[..., -1], np.broadcast_to(values, (n_rows,) + values.shape[1:]))
+        columns = adversary.column_block(t0, draws[..., :-1])
+        check_unit_interval(columns, "reward-vector entries")
+        values = channel.class_values(columns)
+        yield (t0, columns, draws[..., -1],
+               np.broadcast_to(values, (n_rows,) + values.shape[1:]))
 
 
 def run_batch(adversary, learner, channel, horizon: int, seeds,
@@ -151,33 +183,34 @@ def run_batch(adversary, learner, channel, horizon: int, seeds,
         raise ValueError("checkpoints must end at the horizon")
     env_seeds, learner_seeds = zip(*seeds)
     learner_streams = [np.random.default_rng(seed) for seed in learner_seeds]
-    n_actions = channel.subsets.shape[0]
-    block = max(16, BLOCK_ELEMENTS // (n_rows * n_actions))
+    classes = channel.classes
+    # B follows the subset count, not the class count: it fixes the order of
+    # the regret sums
+    block = max(16, BLOCK_ELEMENTS // (n_rows * classes.size))
     rows = np.arange(n_rows)
     shape = (n_rows, checkpoints.size)
     ranks_at = np.empty(shape, dtype=np.int64)
     rewards_at = np.empty(shape)
     played_at = np.empty(shape)
     played_cum_at = np.empty(shape)
-    sums = np.zeros((n_rows, n_actions))
+    sums = np.zeros((n_rows, channel.slots.shape[0]))
     played_cum = np.zeros(n_rows)
-    for t0, hidden, feedback, values in _environment_blocks(
+    for t0, columns, feedback, values in _environment_blocks(
             adversary, channel, env_seeds, horizon, block):
         count = feedback.shape[1]
         picks = np.stack([stream.random(count) for stream in learner_streams], axis=1)
-        feedback = np.ascontiguousarray(feedback.T)
+        table = channel.reward_table(columns, values, feedback)
         sums += values.sum(axis=1)
         ranks = np.empty((count, n_rows), dtype=np.int64)
         rewards = np.empty((count, n_rows))
         for i in range(count):
             played = learner.select_ranks(picks[i])
-            reward = channel.rewards(hidden[:, i], played, values[rows, i, played],
-                                     feedback[i])
+            reward = table[rows, i, classes[played]]
             learner.update_ranks(played, reward)
             ranks[i] = played
             rewards[i] = reward
         ranks, rewards = ranks.T, rewards.T
-        played_vals = values[rows[:, None], np.arange(count), ranks]
+        played_vals = values[rows[:, None], np.arange(count), classes[ranks]]
         cum = _running_sum(played_cum, played_vals)
         played_cum = cum[:, -1]
         pos, idx = _local(checkpoints, t0, count)
@@ -187,7 +220,8 @@ def run_batch(adversary, learner, channel, horizon: int, seeds,
         played_cum_at[:, pos] = cum[:, idx]
 
     # best fixed subset in hindsight (ties to the smallest rank), then replay
-    benchmark = np.argmax(sums, axis=1)
+    # its class column
+    benchmark = classes[np.argmax(sums[:, classes], axis=1)]
     bench_at = np.empty(shape)
     bench_cum_at = np.empty(shape)
     bench_cum = np.zeros(n_rows)
@@ -202,4 +236,3 @@ def run_batch(adversary, learner, channel, horizon: int, seeds,
     return BatchTrace(rounds=checkpoints, ranks=ranks_at, rewards=rewards_at,
                       inst_regret=bench_at - played_at,
                       cum_regret=bench_cum_at - played_cum_at)
-

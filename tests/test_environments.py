@@ -48,7 +48,7 @@ def test_reward_block_matches_per_round_draws(mnl_hard_m3, mnl_link):
                                n_arms=6, subset_size=3)
     assert adv.n_uniforms == 5
     uniforms = np.random.default_rng(3).random((2, 50, adv.n_uniforms))
-    block = adv.reward_block(1, uniforms)
+    block = adv.column_block(1, uniforms)[..., adv.arm_columns]
     for row in range(2):
         stream = np.random.default_rng(3)
         stream.random(row * 50 * adv.n_uniforms)  # skip the rows before
@@ -57,10 +57,11 @@ def test_reward_block_matches_per_round_draws(mnl_hard_m3, mnl_link):
     planted = uniforms[..., 0] < 0.5
     assert np.all((block[..., [1, 3, 4]] != mnl_hard_m3.x0).any(axis=-1) <= planted)
     obl = ObliviousAdversary([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
-    assert np.array_equal(obl.reward_block(2, np.empty((1, 2, 0)))[0],
+    assert np.array_equal(obl.column_block(2, np.empty((1, 2, 0)))[0],
                           [[0.3, 0.4], [0.5, 0.6]])
+    assert np.array_equal(obl.arm_columns, [0, 1])
     with pytest.raises(ValueError):
-        obl.reward_block(3, np.empty((1, 2, 0)))
+        obl.column_block(3, np.empty((1, 2, 0)))
 
 
 def test_hard_adversary_refuses_invalid_instance(mnl_link):
@@ -195,8 +196,9 @@ class _FixedUniform:
 
 
 def test_choice_channel_zero_utility_rows_match_sample_choice(rng):
-    # batched MNL purchases: rows 0..31 offer only zero utilities (always no
-    # purchase); rows 32..63 zero one offered item of each subset
+    # the choice channel's reward table, one round per row: rows 0..31 offer
+    # only zero utilities (always no purchase); rows 32..63 zero one offered
+    # item of each subset
     n_arms, size, rows = 5, 2, 64
     subsets = subsets_by_rank(n_arms, size)
     prices = rng.uniform(0.1, 1.0, size=n_arms)
@@ -206,7 +208,10 @@ def test_choice_channel_zero_utility_rows_match_sample_choice(rng):
     hidden[np.arange(32, rows), subsets[ranks[32:], 0]] = 0.0
     uniforms = rng.random(rows)
     uniforms[[0, 1, 32, 33]] = 0.0, np.nextafter(1.0, 0.0), 0.0, np.nextafter(1.0, 0.0)
-    rewards = ChoiceChannel(prices, subsets).rewards(hidden, ranks, None, uniforms)
+    channel = ChoiceChannel(prices, subsets, np.arange(n_arms))
+    columns = hidden[:, None, :]
+    table = channel.reward_table(columns, channel.class_values(columns), uniforms[:, None])
+    rewards = table[np.arange(rows), 0, channel.classes[ranks]]
     assert np.all(rewards[:32] == 0.0)
     for row in range(rows):
         offered = SubsetAction.from_rank(int(ranks[row]), n_arms, size)

@@ -595,3 +595,42 @@ def test_instance_validation():
         HardInstance(x0=0.5, m=2, b=2, support=[[0.2, 0.5]], weights=[0.7], gamma=0.0)
     with pytest.raises(ValueError):
         HardInstance(x0=0.5, m=2, b=1, support=[[0.2, 0.5]], weights=[1.0], gamma=0.0)
+
+
+@pytest.mark.parametrize("field", ["x0", "support", "weights", "gamma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_instance_rejects_non_finite_values(field, bad):
+    data = {"x0": 0.4, "m": 2, "b": 2, "support": [[0.2, 0.6]], "weights": [1.0],
+            "gamma": 0.1}
+    if field == "support":
+        data["support"] = [[0.2, bad]]
+    elif field == "weights":
+        data["weights"] = [bad]
+    else:
+        data[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        HardInstance(**data)
+
+
+class _NanAbove(LinkFunction):
+    """x / (1 + x), NaN above a threshold."""
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+
+    def _eval(self, x):
+        return np.where(x > self.threshold, np.nan, x / (1.0 + x))
+
+
+def test_nan_gap_or_residual_grades_invalid():
+    # m = 1 has no residuals: only the gap is NaN
+    single = HardInstance(x0=0.3, m=1, b=2, support=[[0.6]], weights=[1.0], gamma=0.1)
+    report = verify_hard_instance(single, _NanAbove(0.85))
+    assert math.isnan(report.gamma) and not report.valid
+    # depth-1 sums 0.5 and 0.9, depth-2 sum 0.8 against the baseline at 0.6:
+    # one NaN residual next to a positive gap
+    pair = HardInstance(x0=0.3, m=2, b=2, support=[[0.2, 0.6]], weights=[1.0], gamma=0.1)
+    report = verify_hard_instance(pair, _NanAbove(0.85))
+    assert report.gamma > DEFAULT_GAP_TOL
+    assert math.isnan(report.max_abs_residual) and not report.valid
+    assert len(report.messages) == 1 and "residual" in report.messages[0]

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import re
@@ -16,6 +17,7 @@ from nonlinbandit import (
     run_replication,
     run_sweep,
     write_run_csv,
+    write_sweep_csv,
 )
 from nonlinbandit.cli import main, parse_link_arg
 from nonlinbandit.harness import ALGORITHM_PARAMS, build_learner
@@ -174,6 +176,56 @@ def test_kernel_matches_per_round_reference(mnl_hard_m2, quadratic_hard_m2, hori
                 _assert_regret_close(mine[4], theirs[4], label)
             _assert_regret_close(batch[rep].final_regret, ref.final_regret, label)
             assert got[-1][0] == horizon
+
+
+# SHA-256 of the output files below, written by the kernel that computed every
+# subset's values and rewards one subset at a time; the per-class kernel must
+# reproduce them byte for byte.
+OUTPUT_SHA256 = {
+    "exp3/bernoulli": "0c83177b9c899272a9f799ed986f95a6d507d2f69014980e54b90cbb3d4842c0",
+    "tsallis_inf/bernoulli": "aafc00631a63ebeeb6fc6dc2db33951c79fdddd55e8be942108c5d8d3bbf974e",
+    "constant/bernoulli": "b0d310cdd7d0959ea681b2fd57b70f37623c58177557b8a6db3522ba92774ffc",
+    "exp3/choice": "34e9036a5cf8aaca4432337fc80c247aed17e497c2fddb9d2c72721addc77e6c",
+    "tsallis_inf/choice": "219678f4ef716b6694a3ccfddb403e8da0850a92aae4c000689fe41d2815f61c",
+    "constant/choice": "5fb4d3d3ae5c3663babf43ea11d989c2f700412291d0cb3db37ab1cd697f784e",
+    "exp2/bernoulli": "24ae30a9ae03c4b8f8878320faa3455521d3e161ecb693248d25810167c9c286",
+    "exp2/choice": "dbab1a0ccb54f5e879888d6c446bb85feefedcda89bf85e2219ccae19899a75e",
+    "sweep/criterion5": "c4c76b7811100773796ae9bb581a23076ef1f4b31e0f479a2eb4aee5613abad0",
+    "run/mnl_hard_N12_K3": "d8b15199e39a5c299c2db369a0d8693a91e324db4f4bddaab00f043ec123b283",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_outputs_are_byte_identical_to_pinned_hashes(mnl_hard_m2, mnl_hard_m3,
+                                                     quadratic_hard_m2, tmp_path):
+    got = {}
+    for label, config in _channel_configs(mnl_hard_m2, quadratic_hard_m2, 300):
+        path = tmp_path / (label.replace("/", "_") + ".csv")
+        write_run_csv(run_experiment(config), path)
+        got[label] = _sha256(path)
+    sweep = ExperimentConfig.from_dict({
+        "dims": {"N": 5, "K": 2, "T": 1000, "d": None},
+        "link": {"kind": "mnl"},
+        "adversary": {"kind": "hard_nonpoly", "instance": mnl_hard_m2.to_json_dict(),
+                      "s_star": [0, 1], "delta": "auto"},
+        "algorithms": [{"name": "exp3", "params": {}},
+                       {"name": "tsallis_inf", "params": {}}],
+        "replications": 3, "base_seed": 0, "t_grid": [100, 316, 1000]})
+    write_sweep_csv(run_sweep(sweep), tmp_path / "sweep.csv")
+    got["sweep/criterion5"] = _sha256(tmp_path / "sweep.csv")
+    assortment = ExperimentConfig.from_dict({
+        "dims": {"N": 12, "K": 3, "T": 500, "d": None},
+        "link": {"kind": "mnl"},
+        "adversary": {"kind": "mnl_hard", "instance": mnl_hard_m3.to_json_dict(),
+                      "s_star": [0, 1, 2], "delta": "auto"},
+        "algorithms": [{"name": "tsallis_inf", "params": {}}],
+        "replications": 2, "base_seed": 3, "full_trace": True})
+    write_run_csv(run_experiment(assortment), tmp_path / "assortment.csv")
+    got["run/mnl_hard_N12_K3"] = _sha256(tmp_path / "assortment.csv")
+    assert got == OUTPUT_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -886,3 +938,39 @@ def test_fractional_integer_field_exits_one(tmp_path, capsys, mnl_hard_m2, path,
         assert main([command, "--config", str(cfg)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"error: {name} must be a whole number, got {shown!r}"]
+
+
+@pytest.mark.parametrize("path, value", [
+    (("adversary", "instance", "support", 0, 0), None),
+    (("adversary", "instance", "weights", 0), math.inf),
+    (("adversary", "instance", "gamma"), math.nan),
+], ids=["support-null", "weights-inf", "gamma-nan"])
+def test_non_finite_instance_exits_one(tmp_path, capsys, mnl_hard_m2, path, value):
+    # a null inside support reads as NaN; the run used to start and exit 2,
+    # or report final_regret=0.0 for a replication that never drew the atom
+    config = _fuzz_configs(mnl_hard_m2)["hard_nonpoly-exp3"]
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps(_with_leaf(config, path, value)))
+    for command in ("run", "sweep"):
+        assert main([command, "--config", str(cfg)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: x0, support, weights and gamma must be finite"]
+
+
+def test_stochastic_link_out_of_range_exits_one(tmp_path, capsys):
+    # the link leaves [0, 1] on the fixed values: stopped when the adversary
+    # is built, where every replication used to fail and the run exit 2
+    config = {
+        "dims": {"N": 4, "K": 2, "T": 5, "d": 2},
+        "link": {"kind": "polynomial", "coefficients": [0.1, 2.5, 0.05]},
+        "adversary": {"kind": "stochastic", "v": [0.3, 0.4, 0.5, 0.6]},
+        "algorithms": [{"name": "exp3", "params": {}}],
+        "replications": 2, "base_seed": 0,
+    }
+    cfg = tmp_path / "range.json"
+    cfg.write_text(json.dumps(config))
+    for command in ("run", "sweep"):
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: link value outside [0, 1]"]
+        assert captured.out == ""

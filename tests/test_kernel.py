@@ -1,0 +1,105 @@
+"""Subset classes of the batched kernel: a class's values and reward table
+carry the same bits as each of its subsets computed on its own."""
+import math
+
+import numpy as np
+import pytest
+
+from nonlinbandit import HardMixtureAdversary, MnlLink, ProblemDims, StochasticAdversary
+from nonlinbandit.core import subsets_by_rank
+from nonlinbandit.harness import build_adversary
+from nonlinbandit.kernel import BernoulliChannel, ChoiceChannel
+
+
+def _hard_spec(kind, instance, s_star):
+    return {"kind": kind, "instance": instance.to_json_dict(), "s_star": list(s_star),
+            "delta": 0.5}
+
+
+@pytest.mark.parametrize("n_arms, size, s_star, count", [
+    (40, 2, (0, 1), 4),
+    (20, 3, (0, 1, 2), 8),
+    (12, 3, (0, 1, 2), 8),
+    (4, 2, (0, 2), 5),
+])
+@pytest.mark.parametrize("kind", ["hard_nonpoly", "mnl_hard"])
+def test_hard_mixture_class_counts(mnl_hard_m2, mnl_hard_m3, kind, n_arms, size, s_star,
+                                   count):
+    instance = mnl_hard_m2 if size == 2 else mnl_hard_m3
+    dims = ProblemDims(n_arms, size, 100)
+    _, channel = build_adversary(_hard_spec(kind, instance, s_star), dims, MnlLink(), 100)
+    assert channel.slots.shape == (count, size)
+    assert channel.classes.shape == (math.comb(n_arms, size),)
+    assert np.array_equal(np.unique(channel.classes), np.arange(count))
+
+
+def test_stochastic_subsets_are_their_own_classes():
+    dims = ProblemDims(6, 3, 100)
+    _, channel = build_adversary({"kind": "stochastic", "v": [0.1] * 6}, dims,
+                                 MnlLink(), 100)
+    assert channel.slots.shape == (20, 3)
+    assert np.unique(channel.classes).size == 20
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _channels(kind, adversary, subsets, prices):
+    """The channel on the adversary's columns and its one-subset-per-class twin
+    on the hidden vectors."""
+    flat = np.arange(adversary.n_arms)
+    if kind == "bernoulli":
+        return (BernoulliChannel(MnlLink(), subsets, adversary.arm_columns),
+                BernoulliChannel(MnlLink(), subsets, flat))
+    return (ChoiceChannel(prices, subsets, adversary.arm_columns),
+            ChoiceChannel(prices, subsets, flat))
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "choice"])
+@pytest.mark.parametrize("n_arms, size, planted, prices", [
+    (7, 3, (1, 3, 4), "unit"),
+    (7, 3, (0, 5, 6), "shared"),
+    (6, 2, (2, 4), "distinct"),
+    (5, 3, (0, 1), "unit"),  # m = 2 < K, as in hard_poly
+])
+def test_class_values_and_tables_match_one_subset_per_class(
+        mnl_hard_m2, mnl_hard_m3, quadratic_hard_m2, kind, n_arms, size, planted, prices):
+    rng = np.random.default_rng(n_arms * 10 + size)
+    link, instance = MnlLink(), mnl_hard_m3 if len(planted) == 3 else mnl_hard_m2
+    if len(planted) < size:
+        link, instance = quadratic_hard_m2
+    adversary = HardMixtureAdversary(instance, link, planted, delta=0.6,
+                                     n_arms=n_arms, subset_size=size)
+    price_of = {"unit": np.ones(n_arms),
+                "shared": rng.choice([0.3, 0.8], size=n_arms),
+                "distinct": rng.uniform(0.1, 1.0, size=n_arms)}[prices]
+    subsets = subsets_by_rank(n_arms, size)
+    channel, flat = _channels(kind, adversary, subsets, price_of)
+    for _ in range(3):
+        uniforms = rng.random((4, 40, adversary.n_uniforms))
+        feedback = rng.random((4, 40))
+        feedback[0, :3] = 0.0, np.nextafter(1.0, 0.0), 0.5
+        columns = adversary.column_block(1, uniforms)
+        hidden = columns[..., adversary.arm_columns]
+        values = channel.class_values(columns)
+        flat_values = flat.class_values(hidden)
+        assert _same_bits(values[..., channel.classes], flat_values[..., flat.classes])
+        table = channel.reward_table(columns, values, feedback)
+        flat_table = flat.reward_table(hidden, flat_values, feedback)
+        assert _same_bits(table[..., channel.classes], flat_table[..., flat.classes])
+    if kind == "choice" and prices != "unit":
+        assert channel.slots.shape[0] > BernoulliChannel(
+            MnlLink(), subsets, adversary.arm_columns).slots.shape[0]
+
+
+def test_stochastic_block_is_one_subset_per_class():
+    # columns are the arms: values equal the link of each subset's own sum
+    adversary = StochasticAdversary([0.1, 0.5, 0.9, 0.3])
+    subsets = subsets_by_rank(4, 2)
+    channel = BernoulliChannel(MnlLink(), subsets, adversary.arm_columns)
+    values = channel.class_values(adversary.column_block(1, np.empty((1, 5, 0))))
+    sums = adversary.values[subsets].sum(axis=1)
+    assert _same_bits(values[..., channel.classes], np.broadcast_to(sums / (1 + sums),
+                                                                    (1, 5, 6)))
