@@ -30,7 +30,6 @@ from .core import (
 )
 from .environments import (
     Adversary,
-    EnvRecord,
     HardMixtureAdversary,
     MnlChoiceLaw,
     ObliviousAdversary,

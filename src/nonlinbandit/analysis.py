@@ -91,9 +91,10 @@ def _subset_values(hidden, idx, link, prices):
     return (offered * prices[idx]).sum(axis=1) / (1.0 + util)
 
 
-def regret_of_run(records, link: LinkFunction | None = None,
+def regret_of_run(hidden, played, link: LinkFunction | None = None,
                   prices=None) -> RegretTrace:
-    """Exact expected-regret trace of a recorded run.
+    """Exact expected-regret trace of a recorded run: the hidden values (T, N)
+    and the played subsets' arms (T, K) of :func:`harness.simulate`.
 
     Finds the fixed subset maximizing the summed expected reward over the
     realized hidden vectors by exhaustive enumeration (ties to the smallest
@@ -102,12 +103,14 @@ def regret_of_run(records, link: LinkFunction | None = None,
     feedback noise.
     """
     check_feedback_model(link, prices)
-    records = list(records)
-    if not records:
+    hidden = np.asarray(hidden, dtype=float)
+    played = np.asarray(played, dtype=np.int64)
+    if hidden.shape[0] == 0:
         raise ValueError("empty run")
-    hidden = np.stack([r.hidden_values for r in records])
-    n_arms = hidden.shape[1]
-    subset_size = len(records[0].subset)
+    if played.shape[0] != hidden.shape[0]:
+        raise ValueError(f"{hidden.shape[0]} rounds of hidden values, "
+                         f"{played.shape[0]} of played subsets")
+    n_arms, subset_size = hidden.shape[1], played.shape[1]
     if prices is not None:
         prices = np.asarray(prices, dtype=float)
         if prices.shape != (n_arms,):
@@ -121,8 +124,7 @@ def regret_of_run(records, link: LinkFunction | None = None,
     benchmark = SubsetAction(tuple(int(i) for i in table[best_rank]), best_rank)
 
     bench_vals = _subset_values(hidden, table[best_rank], link, prices)
-    played_idx = np.array([list(r.subset.indices) for r in records], dtype=np.int64)
-    played_vals = _subset_values(hidden, played_idx, link, prices)
+    played_vals = _subset_values(hidden, played, link, prices)
     inst = bench_vals - played_vals
     return RegretTrace(
         benchmark=benchmark,

@@ -115,8 +115,8 @@ class TabulatedLink(LinkFunction):
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise ValueError("grid needs matching 1-D xs/ys with at least two points")
-        if not np.all(np.diff(xs) > 0):
-            raise ValueError("grid abscissae must be strictly increasing")
+        if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
+            raise ValueError("grid abscissae must be finite and strictly increasing")
         check_unit_interval(ys, "tabulated values", error=LinkRangeError)
         self.xs = xs
         self.ys = np.clip(ys, 0.0, 1.0)

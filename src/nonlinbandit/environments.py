@@ -21,24 +21,6 @@ from .core import LinkFunction, SubsetAction, check_unit_interval
 from .hardinstances import HardInstance, verify_hard_instance
 
 
-@dataclass
-class EnvRecord:
-    """One interaction round: hidden values, action, feedback, realized reward.
-
-    ``feedback`` is the Bernoulli outcome for binary channels; for the choice
-    channel it is the purchased arm index, with -1 meaning no purchase.
-    """
-
-    t: int
-    hidden_values: np.ndarray
-    subset: SubsetAction
-    feedback: int
-    reward: float
-
-    def __post_init__(self):
-        check_unit_interval(self.reward, "reward", tol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Adversaries
 # ---------------------------------------------------------------------------

@@ -264,8 +264,8 @@ class HardInstance:
         if self.m < 1 or self.b < self.m:
             raise ValueError("need m >= 1 and b >= m")
         if not all(np.all(np.isfinite(value)) for value in
-                   (self.x0, self.support, self.weights, self.gamma)):
-            raise ValueError("x0, support, weights and gamma must be finite")
+                   (self.x0, self.support, self.weights, self.gamma, self.residuals)):
+            raise ValueError("x0, support, weights, gamma and residuals must be finite")
         if not 0 <= self.x0 <= 1:
             raise ValueError("x0 must lie in [0, 1]")
         if self.support.shape[1] != self.m or self.support.shape[0] != self.weights.size:

@@ -13,7 +13,9 @@ alone are recorded as failed; :func:`run_replication` re-runs one
 replication by its index.  Results are ordered by run id.
 
 :func:`simulate` with ``analysis.regret_of_run`` is the per-round reference
-path (:func:`reference_replication`) that the kernel is tested against.
+path (:func:`reference_replication`) that the kernel is tested against: it
+records a run as columns (hidden values, played arms, realized rewards),
+and ``regret_of_run`` reads the first two.
 """
 from __future__ import annotations
 
@@ -33,13 +35,13 @@ from .core import (
     ProblemDims,
     SubsetAction,
     TabulatedLink,
+    colex_ranks,
     expected_reward,
     subsets_by_rank,
     whole_number,
 )
 from .environments import (
     Adversary,
-    EnvRecord,
     HardMixtureAdversary,
     ObliviousAdversary,
     StochasticAdversary,
@@ -271,37 +273,36 @@ def build_learner(spec: dict, dims: ProblemDims, horizon: int, link: LinkFunctio
 # Execution
 # ---------------------------------------------------------------------------
 
-def simulate(adversary: Adversary, learner, horizon: int, rng,
-             link: LinkFunction | None = None, prices=None,
-             learner_rng=None) -> list[EnvRecord]:
+def simulate(adversary: Adversary, learner, horizon: int, rng, learner_rng,
+             link: LinkFunction | None = None, prices=None
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interaction loop of one replication, one round at a time: adversary
     draws, learner selects, feedback, update.
 
     Exactly one of ``link`` (Bernoulli channel) or ``prices`` (choice channel)
     selects the feedback model.  ``rng`` drives the environment (adversary and
-    feedback); the learner samples from ``learner_rng`` when given, which lets
-    paired runs of different algorithms face identical hidden-value sequences.
-    Each round draws the kernel's fixed layout, so with the streams of
-    ``kernel.replication_seeds`` this is the reference for ``run_batch``.
+    feedback) and ``learner_rng`` the learner, so the environment stream never
+    depends on the learner and paired runs of different algorithms face
+    identical hidden-value sequences.  Each round draws the kernel's fixed
+    layout, so with the streams of ``kernel.replication_seeds`` this is the
+    reference for ``run_batch``.  Returns the run's columns: the hidden values
+    (T, N), the played subsets' arms (T, K) and the realized rewards (T,).
     """
     check_feedback_model(link, prices)
-    if learner_rng is None:
-        learner_rng = rng
-    records: list[EnvRecord] = []
+    hidden, played, rewards = [], [], []
     for t in range(1, horizon + 1):
-        hidden = adversary.reward_vector(t, rng)
+        values = adversary.reward_vector(t, rng)
         subset = learner.select(learner_rng)
         if link is not None:
-            mean = expected_reward(subset, hidden, link)
-            outcome = bernoulli_feedback(mean, rng)
-            reward = float(outcome)
+            reward = float(bernoulli_feedback(expected_reward(subset, values, link), rng))
         else:
-            outcome = mnl_sample_choice(subset, hidden, rng)
+            outcome = mnl_sample_choice(subset, values, rng)
             reward = float(prices[outcome]) if outcome >= 0 else 0.0
         learner.update(subset, reward)
-        records.append(EnvRecord(t=t, hidden_values=hidden, subset=subset,
-                                 feedback=outcome, reward=reward))
-    return records
+        hidden.append(values)
+        played.append(subset.indices)
+        rewards.append(reward)
+    return np.array(hidden), np.array(played, dtype=np.int64), np.array(rewards)
 
 
 @dataclass
@@ -342,7 +343,7 @@ def _environments(config: ExperimentConfig, horizons) -> list[tuple]:
                                                 horizon)) for horizon in horizons]
         for spec in config.algorithm_specs:
             build_learner(spec, config.dims, horizons[0], link)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed config: {exc}") from exc
     return environments
 
@@ -406,16 +407,19 @@ def reference_replication(config: ExperimentConfig, algo_spec: dict, horizon: in
     learner = build_learner(algo_spec, config.dims, horizon, link)
     env_seed, learner_seed = replication_seeds(config.base_seed, run_id)
     start = time.perf_counter()
-    records = simulate(adversary, learner, horizon, np.random.default_rng(env_seed),
-                       link=channel.link, prices=channel.prices,
-                       learner_rng=np.random.default_rng(learner_seed))
-    trace = regret_of_run(records, link=channel.link, prices=channel.prices)
+    hidden, played, rewards = simulate(
+        adversary, learner, horizon, np.random.default_rng(env_seed),
+        np.random.default_rng(learner_seed), link=channel.link, prices=channel.prices)
+    trace = regret_of_run(hidden, played, link=channel.link, prices=channel.prices)
     elapsed = time.perf_counter() - start
-    rows = [(int(t), records[t - 1].subset.rank, records[t - 1].reward,
-             float(trace.inst_regret[t - 1]), float(trace.cum_regret[t - 1]))
-            for t in _checkpoint_rounds(horizon, config.full_trace)]
+    rows = _checkpoint_rounds(horizon, config.full_trace) - 1
+    ranks = colex_ranks(played[rows], config.dims.n_arms)
     return RunResult(run_id=run_id, seed=config.base_seed,
-                     config_hash=config.config_hash(), checkpoints=rows,
+                     config_hash=config.config_hash(),
+                     checkpoints=list(zip((rows + 1).tolist(), ranks.tolist(),
+                                          rewards[rows].tolist(),
+                                          trace.inst_regret[rows].tolist(),
+                                          trace.cum_regret[rows].tolist())),
                      final_regret=trace.final_regret, wall_time_s=elapsed)
 
 

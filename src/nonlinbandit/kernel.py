@@ -23,12 +23,14 @@ cell in lockstep on (R, A) arrays:
    to the A subsets once at the end, which fixes each replication's best
    subset in hindsight.  The environment stream is then replayed to read
    that subset's class column at the checkpoint rounds, so memory is
-   O(R A) plus the checkpoint columns, not one record per round.
+   O(R A) plus the checkpoint columns, where the reference path keeps the
+   run's (T, N) hidden values.
 
 Every class value is added in the same order as the sums of its subsets, so
 the kernel carries the same bits as the per-round reference path
-(``harness.simulate`` with ``analysis.regret_of_run``) for the played ranks
-and rewards; the regret sums are added in a different order.
+(``harness.simulate``, whose hidden values and played arms
+``analysis.regret_of_run`` reads) for the played ranks and rewards; the
+regret sums are added in a different order.
 """
 from __future__ import annotations
 

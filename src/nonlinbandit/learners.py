@@ -366,8 +366,8 @@ class Exp2(_Batched):
             gamma_mix = min(0.5, math.sqrt(dim * math.log(max(count, 2)) / horizon))
         if eta is None:
             eta = gamma_mix / (2.0 * dim)
-        if not 0 < gamma_mix <= 1 or eta <= 0:
-            raise ValueError("need gamma_mix in (0, 1] and eta > 0")
+        if not 0 < gamma_mix <= 1 or not 0 < eta < math.inf:
+            raise ValueError("need gamma_mix in (0, 1] and a finite eta > 0")
         self.gamma_mix = float(gamma_mix)
         self.eta = float(eta)
         self.replications = replications

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonlinbandit import (
-    EnvRecord,
     HardMixtureAdversary,
     MnlLink,
     PolynomialLink,
+    StochasticAdversary,
     SubsetAction,
     SubsetMab,
     bernoulli_kl,
@@ -86,18 +86,16 @@ def test_pinsker_battery(rng):
 # Regret traces
 # ---------------------------------------------------------------------------
 
-def _fixed_records(v, plays, n_arms):
-    return [
-        EnvRecord(t=t + 1, hidden_values=np.asarray(v, dtype=float),
-                  subset=SubsetAction.from_indices(s, n_arms), feedback=0, reward=0.0)
-        for t, s in enumerate(plays)
-    ]
+def _fixed_run(v, plays):
+    """The hidden values (T, N) and played subsets (T, K) of a run that
+    faces the same vector ``v`` every round."""
+    return np.tile(np.asarray(v, dtype=float), (len(plays), 1)), np.array(plays)
 
 
 def test_constant_benchmark_policy_has_zero_regret():
     g = MnlLink()
     v = np.array([0.9, 0.8, 0.1, 0.2])
-    trace = regret_of_run(_fixed_records(v, [(0, 1)] * 10, 4), link=g)
+    trace = regret_of_run(*_fixed_run(v, [(0, 1)] * 10), link=g)
     assert trace.benchmark.indices == (0, 1)
     assert trace.final_regret == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(trace.cum_regret, np.cumsum(trace.inst_regret))
@@ -107,7 +105,7 @@ def test_single_round_gap():
     # best subset collects 0.6, the played one 0.4
     lin = PolynomialLink([0.0, 1.0])
     v = np.array([0.3, 0.3, 0.2, 0.2])
-    trace = regret_of_run(_fixed_records(v, [(2, 3)], 4), link=lin)
+    trace = regret_of_run(*_fixed_run(v, [(2, 3)]), link=lin)
     assert trace.benchmark.indices == (0, 1)
     assert trace.final_regret == pytest.approx(0.2)
 
@@ -116,12 +114,7 @@ def test_regret_matches_definition_oracle(rng):
     g = MnlLink()
     schedule = rng.uniform(0, 1, size=(20, 5))
     plays = [tuple(sorted(rng.choice(5, size=2, replace=False))) for _ in range(20)]
-    records = [
-        EnvRecord(t=t + 1, hidden_values=schedule[t],
-                  subset=SubsetAction.from_indices(plays[t], 5), feedback=0, reward=0.0)
-        for t in range(20)
-    ]
-    trace = regret_of_run(records, link=g)
+    trace = regret_of_run(schedule, np.array(plays), link=g)
     # independent recomputation straight from the definition
     best_total, best_combo = -np.inf, None
     for combo in itertools.combinations(range(5), 2):
@@ -142,12 +135,7 @@ def test_mnl_revenue_trace(rng):
     prices = np.array([1.0, 0.5, 0.2, 0.8])
     schedule = rng.uniform(0, 1, size=(10, 4))
     plays = [tuple(sorted(rng.choice(4, size=2, replace=False))) for _ in range(10)]
-    records = [
-        EnvRecord(t=t + 1, hidden_values=schedule[t],
-                  subset=SubsetAction.from_indices(plays[t], 4), feedback=-1, reward=0.0)
-        for t in range(10)
-    ]
-    trace = regret_of_run(records, prices=prices)
+    trace = regret_of_run(schedule, np.array(plays), prices=prices)
     from nonlinbandit import mnl_revenue
     best_total = max(
         sum(mnl_revenue(SubsetAction.from_indices(c, 4), schedule[t], prices)
@@ -162,17 +150,53 @@ def test_regret_nonnegative_on_hard_instance(mnl_hard_m2, mnl_link):
                                n_arms=5, subset_size=2)
     rng = np.random.default_rng(33)
     learner = SubsetMab(5, 2, "exp3")
-    records = simulate(adv, learner, 2000, rng, link=mnl_link)
-    trace = regret_of_run(records, link=mnl_link)
+    hidden, played, _ = simulate(adv, learner, 2000, rng, np.random.default_rng(34),
+                                 link=mnl_link)
+    trace = regret_of_run(hidden, played, link=mnl_link)
     assert trace.final_regret >= 0.0
 
 
 def test_regret_requires_exactly_one_value_model():
-    records = _fixed_records(np.array([0.1, 0.2]), [(0,)], 2)
+    hidden, played = _fixed_run([0.1, 0.2], [(0,)])
     with pytest.raises(ValueError):
-        regret_of_run(records)
+        regret_of_run(hidden, played)
     with pytest.raises(ValueError):
-        regret_of_run(records, link=MnlLink(), prices=np.ones(2))
+        regret_of_run(hidden, played, link=MnlLink(), prices=np.ones(2))
+
+
+def test_regret_rejects_an_empty_or_ragged_run():
+    hidden, played = _fixed_run([0.1, 0.2, 0.3], [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="empty run"):
+        regret_of_run(hidden[:0], played[:0], link=MnlLink())
+    with pytest.raises(ValueError, match="rounds"):
+        regret_of_run(hidden[:2], played, link=MnlLink())
+    with pytest.raises(ValueError, match="rounds"):
+        regret_of_run(hidden, played[:2], link=MnlLink())
+
+
+@pytest.mark.parametrize("channel", ["bernoulli", "choice"])
+def test_simulate_returns_the_run_columns(mnl_link, channel):
+    # hidden values (T, N), played arms (T, K) and realized rewards (T,)
+    adv = StochasticAdversary(np.array([0.1, 0.5, 0.9, 0.3, 0.7]))
+    learner = SubsetMab(5, 2, "exp3")
+    feedback = ({"link": mnl_link} if channel == "bernoulli"
+                else {"prices": np.array([1.0, 0.5, 0.2, 0.8, 0.4])})
+    hidden, played, rewards = simulate(adv, learner, 40, np.random.default_rng(5),
+                                       np.random.default_rng(6), **feedback)
+    assert hidden.shape == (40, 5) and hidden.dtype == np.float64
+    assert played.shape == (40, 2) and played.dtype == np.int64
+    assert rewards.shape == (40,) and rewards.dtype == np.float64
+    assert np.all(hidden == adv.values)
+    assert np.all(played[:, 0] < played[:, 1])
+    allowed = [0.0, 1.0] if channel == "bernoulli" else [0.0, *feedback["prices"]]
+    assert np.all(np.isin(rewards, allowed))
+
+
+def test_simulate_needs_a_learner_stream(mnl_link):
+    # the learner never draws from the environment stream
+    adv = StochasticAdversary(np.array([0.1, 0.5, 0.9]))
+    with pytest.raises(TypeError):
+        simulate(adv, SubsetMab(3, 2, "exp3"), 5, np.random.default_rng(0), link=mnl_link)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nonlinbandit import (
-    EnvRecord,
+    ConstantPolicy,
     HardInstance,
     HardMixtureAdversary,
     MnlLink,
@@ -22,6 +22,7 @@ from nonlinbandit import (
     mnl_mixture_choice_law,
     mnl_revenue,
     mnl_sample_choice,
+    simulate,
 )
 from nonlinbandit.core import subsets_by_rank
 from nonlinbandit.kernel import ChoiceChannel
@@ -331,6 +332,10 @@ def test_kl_coefficient_bounds_kl(mnl_hard_m2, mnl_link):
 
 
 def test_env_record_validates():
-    s = SubsetAction.from_indices((0,), 2)
-    with pytest.raises(ValueError):
-        EnvRecord(t=1, hidden_values=np.zeros(2), subset=s, feedback=0, reward=1.5)
+    # a realized reward outside [0, 1] stops the recorded run: item 0 costs
+    # 1.5, and the first round that buys it raises in the learner's update
+    adv = StochasticAdversary(np.array([1.0, 1.0]))
+    learner = ConstantPolicy(SubsetAction.from_indices((0,), 2))
+    with pytest.raises(ValueError, match="reward outside"):
+        simulate(adv, learner, 50, np.random.default_rng(0), np.random.default_rng(1),
+                 prices=np.array([1.5, 0.5]))

@@ -887,12 +887,15 @@ def _leaf_paths(node, path=()):
         yield from _leaf_paths(child, path + (key,))
 
 
+def _leaf(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
 def _with_leaf(config, path, value):
     config = copy.deepcopy(config)
-    node = config
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    _leaf(config, path[:-1])[path[-1]] = value
     return config
 
 
@@ -914,6 +917,30 @@ def test_cli_survives_every_mistyped_leaf(tmp_path, mnl_hard_m2, name, value):
             except Exception as exc:
                 pytest.fail(f"{command} with {path} = {value!r} raised {exc!r}")
             assert code in (0, 1, 2), (command, path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("name", ["hard_nonpoly-exp3", "stochastic-exp2",
+                                  "mnl_general-constant"])
+def test_cli_rejects_every_non_finite_number(tmp_path, capsys, mnl_hard_m2, name, value):
+    # JSON reads NaN and Infinity: each numeric leaf of a valid config,
+    # replaced in turn, makes run and sweep exit 1, never 0 or a traceback
+    config = _fuzz_configs(mnl_hard_m2)[name]
+    cfg = tmp_path / "non_finite.json"
+    paths = [path for path in _leaf_paths(config)
+             if type(_leaf(config, path)) in (int, float)]
+    assert paths
+    for path in paths:
+        cfg.write_text(json.dumps(_with_leaf(config, path, value)))
+        for command in ("run", "sweep"):
+            try:
+                code = main([command, "--config", str(cfg)])
+            except Exception as exc:
+                pytest.fail(f"{command} with {path} = {value!r} raised {exc!r}")
+            lines = capsys.readouterr().err.splitlines()
+            assert code == 1, (command, path, lines)
+            assert len(lines) == 1 and lines[0].startswith("error: "), (command, path, lines)
 
 
 @pytest.mark.parametrize("path, value, name", [
@@ -954,7 +981,7 @@ def test_non_finite_instance_exits_one(tmp_path, capsys, mnl_hard_m2, path, valu
     for command in ("run", "sweep"):
         assert main([command, "--config", str(cfg)]) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert lines == ["error: x0, support, weights and gamma must be finite"]
+        assert lines == ["error: x0, support, weights, gamma and residuals must be finite"]
 
 
 def test_stochastic_link_out_of_range_exits_one(tmp_path, capsys):
