@@ -70,8 +70,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="verify a hard instance file")
     p.add_argument("--inst", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--tol-eq", type=float, default=1e-8)
-    p.add_argument("--tol-gap", type=float, default=1e-6)
 
     p = sub.add_parser("identity-check", help="run the alternating-identity battery")
     p.add_argument("--trials", type=int, default=500)
@@ -103,8 +101,7 @@ def _cmd_find_hard(args) -> int:
 def _cmd_verify(args) -> int:
     link = parse_link_arg(args.g)
     instance = HardInstance.load(args.inst)
-    report = verify_hard_instance(instance, link, tol_eq=args.tol_eq,
-                                  tol_gap=args.tol_gap)
+    report = verify_hard_instance(instance, link)
     print(report)
     return 0 if report.valid else 2
 

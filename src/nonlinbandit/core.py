@@ -266,19 +266,16 @@ def check_unit_interval(values, what: str, tol: float = 1e-12,
                         error: type[ValueError] = ValueError):
     """Raise ``error`` unless every entry of ``values`` lies in [-tol, 1 + tol].
 
-    The one [0, 1] range check of the package: reward vectors and feedback
-    means use the default 1e-12 slack, link outputs 1e-9 with
-    :class:`LinkRangeError`, and realized rewards and prices no slack.  NaN
-    fails the check.
+    The one [0, 1] range check of the package, run once where the data
+    enters: reward vectors and feedback means with the default 1e-12 slack,
+    link outputs 1e-9 with :class:`LinkRangeError`, and realized rewards and
+    prices no slack.  NaN fails the check; an empty array passes.
     """
     if isinstance(values, float):
         ok = -tol <= values <= 1.0 + tol
     else:
         arr = np.asarray(values, dtype=float)
-        if arr.size <= 32:  # a per-round batch: cheaper in Python than two reductions
-            ok = all(-tol <= v <= 1.0 + tol for v in arr.ravel().tolist())
-        else:
-            ok = float(arr.min()) >= -tol and float(arr.max()) <= 1.0 + tol
+        ok = arr.size == 0 or (float(arr.min()) >= -tol and float(arr.max()) <= 1.0 + tol)
     if not ok:
         raise error(f"{what} outside [0, 1]")
 

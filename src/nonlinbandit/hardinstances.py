@@ -19,7 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LinkFunction, check_enumeration, subset_sums, subsets_by_rank, whole_number
+from .core import (
+    LinkFunction,
+    check_enumeration,
+    check_unit_interval,
+    subset_sums,
+    subsets_by_rank,
+    whole_number,
+)
 
 DEFAULT_X0_CANDIDATES = tuple(round(0.05 * k, 2) for k in range(1, 20))
 DEFAULT_EQ_TOL = 1e-8
@@ -159,8 +166,8 @@ def symmetrized_link(link: LinkFunction, level: int, x, x0: float, b: int) -> fl
         raise ValueError(f"level must be in [1, {m}]")
     if b < m:
         raise ValueError("shift budget b must be >= m")
-    if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12) or not 0 <= x0 <= 1:
-        raise ValueError("coordinates and x0 must lie in [0, 1]")
+    check_unit_interval(arr, "coordinates")
+    check_unit_interval(float(x0), "x0", tol=0.0)
     shift = (b - level) * x0
     total = 0.0
     for combo in itertools.combinations(range(m), level):
@@ -266,12 +273,10 @@ class HardInstance:
         if not all(np.all(np.isfinite(value)) for value in
                    (self.x0, self.support, self.weights, self.gamma, self.residuals)):
             raise ValueError("x0, support, weights, gamma and residuals must be finite")
-        if not 0 <= self.x0 <= 1:
-            raise ValueError("x0 must lie in [0, 1]")
+        check_unit_interval(float(self.x0), "x0", tol=0.0)
         if self.support.shape[1] != self.m or self.support.shape[0] != self.weights.size:
             raise ValueError("support/weights shapes inconsistent with m")
-        if np.any(self.support < -1e-12) or np.any(self.support > 1 + 1e-12):
-            raise ValueError("support coordinates must lie in [0, 1]")
+        check_unit_interval(self.support, "support coordinates")
         if np.any(np.diff(self.support, axis=1) < -1e-12):
             raise ValueError("support rows must be sorted ascending")
         if np.any(self.weights < -1e-12):
@@ -601,10 +606,9 @@ class HardInstanceReport:
         return "\n".join(lines)
 
 
-def verify_hard_instance(instance: HardInstance, link: LinkFunction,
-                         tol_eq: float = DEFAULT_EQ_TOL,
-                         tol_gap: float = DEFAULT_GAP_TOL) -> HardInstanceReport:
-    """Recompute every moment constraint from scratch and grade the instance.
+def verify_hard_instance(instance: HardInstance, link: LinkFunction) -> HardInstanceReport:
+    """Recompute every moment constraint from scratch and grade the instance
+    against ``DEFAULT_EQ_TOL`` and ``DEFAULT_GAP_TOL``.
 
     Uses the scalar per-atom symmetrized means rather than the vectorized
     column construction of the search, so it exercises an independent path.
@@ -618,10 +622,10 @@ def verify_hard_instance(instance: HardInstance, link: LinkFunction,
     max_resid = float(np.max(np.abs(residuals))) if residuals.size else 0.0
     messages = []
     # written so that a NaN residual or gap fails too
-    if not max_resid <= tol_eq:
-        messages.append(f"moment residual {max_resid:.3g} exceeds tol_eq={tol_eq:.3g}")
-    if not gamma >= tol_gap:
-        messages.append(f"gap {gamma:.3g} below tol_gap={tol_gap:.3g}")
+    if not max_resid <= DEFAULT_EQ_TOL:
+        messages.append(f"moment residual {max_resid:.3g} exceeds tol_eq={DEFAULT_EQ_TOL:.3g}")
+    if not gamma >= DEFAULT_GAP_TOL:
+        messages.append(f"gap {gamma:.3g} below tol_gap={DEFAULT_GAP_TOL:.3g}")
     return HardInstanceReport(
         valid=not messages,
         gamma=float(gamma),

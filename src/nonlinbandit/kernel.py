@@ -154,7 +154,7 @@ def replication_seeds(base_seed: int, run_id: int):
 
 def _environment_blocks(adversary, channel, env_seeds, horizon: int, block: int):
     """Yield (t0, columns, feedback uniforms, class values) per block, with the
-    values broadcast to R rows."""
+    values broadcast to R rows; the adversary range-checked the columns' values."""
     streams = [np.random.default_rng(seed) for seed in env_seeds]
     width = adversary.n_uniforms + 1
     n_rows = len(streams)
@@ -162,7 +162,6 @@ def _environment_blocks(adversary, channel, env_seeds, horizon: int, block: int)
         count = min(block, horizon + 1 - t0)
         draws = np.stack([stream.random((count, width)) for stream in streams])
         columns = adversary.column_block(t0, draws[..., :-1])
-        check_unit_interval(columns, "reward-vector entries")
         values = channel.class_values(columns)
         yield (t0, columns, draws[..., -1],
                np.broadcast_to(values, (n_rows,) + values.shape[1:]))

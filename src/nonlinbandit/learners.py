@@ -62,9 +62,10 @@ class _Batched:
     observation per row drawn from ``probs``.  ``select_ranks`` keeps the
     distribution it sampled from until ``update_ranks`` hands it to
     ``_observe`` (a fresh one when no round is open), counts the round and
-    drops it, so no distribution outlives its round.  The single-replication
-    object API (``select`` / ``update``, defined on each learner) runs on
-    top of these with R = 1.
+    drops it, so no distribution outlives its round.  Neither checks its
+    inputs: the kernel's rewards come from a channel's reward table.  The
+    single-replication object API (``select`` / ``update``, defined on each
+    learner) runs on top of these with R = 1; ``update`` checks the reward.
     """
 
     replications = 1
@@ -81,7 +82,7 @@ class _Batched:
         return _sample_ranks(self._round, uniforms)
 
     def update_ranks(self, ranks: np.ndarray, rewards: np.ndarray):
-        check_unit_interval(rewards, "reward", tol=0.0)
+        """Apply one observation per row and close the round (``rewards`` unchecked)."""
         self._observe(ranks, rewards, self._rows() if self._round is None else self._round)
         self.rounds += 1
         self._round = None
@@ -98,6 +99,7 @@ class _Batched:
 
     def _solo_update(self, rank: int, reward: float):
         self._solo()
+        check_unit_interval(float(reward), "reward", tol=0.0)
         self.update_ranks(np.array([rank]), np.array([float(reward)]))
 
     def _action(self, rank: int) -> SubsetAction:
@@ -433,4 +435,4 @@ class ConstantPolicy(_Batched):
         return np.full(uniforms.shape, self.subset.rank)
 
     def update_ranks(self, ranks: np.ndarray, rewards: np.ndarray):
-        check_unit_interval(rewards, "reward", tol=0.0)
+        pass

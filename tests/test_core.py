@@ -229,6 +229,69 @@ def test_check_unit_interval():
                         MnlLink())
 
 
+_TOLERANCES = (0.0, 1e-12, 1e-9)
+
+
+def _unit_entries(tol):
+    # edges on both sides of the tolerance, non-finite values, and the bulk
+    edges = [-tol, 1.0 + tol, np.nextafter(-tol, -1.0), np.nextafter(1.0 + tol, 2.0),
+             0.0, 1.0, -0.0]
+    return st.one_of(st.sampled_from(edges), st.sampled_from([np.nan, np.inf, -np.inf]),
+                     st.floats(-0.5, 1.5))
+
+
+def _in_unit_interval(entries, tol) -> bool:
+    # plain-Python oracle of core.check_unit_interval
+    return all(-tol <= v <= 1.0 + tol for v in entries)
+
+
+def _divisor(n: int):
+    return st.sampled_from([k for k in range(1, n + 1) if n % k == 0])
+
+
+@st.composite
+def _unit_arrays(draw):
+    tol = draw(st.sampled_from(_TOLERANCES))
+    entries = draw(st.lists(_unit_entries(tol), min_size=0, max_size=64))
+    n = len(entries)
+    if draw(st.booleans()):
+        shape = (n,)
+    elif n == 0:
+        shape = (0, 3, 2)
+    else:
+        a = draw(_divisor(n))
+        b = draw(_divisor(n // a))
+        shape = (a, b, n // (a * b))
+    return np.array(entries, dtype=float).reshape(shape), entries, tol
+
+
+@given(_unit_arrays())
+@settings(max_examples=300, deadline=None)
+def test_check_unit_interval_matches_oracle(case):
+    from nonlinbandit.core import check_unit_interval
+
+    arr, entries, tol = case
+    if _in_unit_interval(entries, tol):
+        check_unit_interval(arr, "values", tol=tol, error=LinkRangeError)
+    else:
+        with pytest.raises(LinkRangeError, match="values outside"):
+            check_unit_interval(arr, "values", tol=tol, error=LinkRangeError)
+
+
+@given(st.sampled_from(_TOLERANCES).flatmap(
+    lambda tol: st.tuples(_unit_entries(tol).map(float), st.just(tol))))
+@settings(max_examples=200, deadline=None)
+def test_check_unit_interval_bare_float_matches_oracle(case):
+    from nonlinbandit.core import check_unit_interval
+
+    value, tol = case
+    if _in_unit_interval([value], tol):
+        check_unit_interval(value, "reward", tol=tol)
+    else:
+        with pytest.raises(ValueError, match="reward outside"):
+            check_unit_interval(value, "reward", tol=tol)
+
+
 def test_best_subset_monotone_link_takes_largest():
     g = MnlLink()
     v = np.array([0.1, 0.8, 0.3, 0.9, 0.2])

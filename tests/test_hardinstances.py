@@ -597,6 +597,24 @@ def test_instance_validation():
         HardInstance(x0=0.5, m=2, b=1, support=[[0.2, 0.5]], weights=[1.0], gamma=0.0)
 
 
+@pytest.mark.parametrize("x0, support, ok", [
+    (0.0, [[0.0, 1.0]], True),
+    (1.0, [[-1e-12, 1.0 + 1e-12]], True),  # the support's 1e-12 slack
+    (np.nextafter(1.0, 2.0), [[0.2, 0.6]], False),  # x0 takes none
+    (-1e-300, [[0.2, 0.6]], False),
+    (0.4, [[0.2, 1.0 + 2e-12]], False),
+    (0.4, [[-2e-12, 0.6]], False),
+])
+def test_instance_range_checks(x0, support, ok):
+    def build():
+        return HardInstance(x0=x0, m=2, b=2, support=support, weights=[1.0], gamma=0.1)
+    if ok:
+        build()
+    else:
+        with pytest.raises(ValueError, match="outside"):
+            build()
+
+
 @pytest.mark.parametrize("field", ["x0", "support", "weights", "gamma"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_instance_rejects_non_finite_values(field, bad):

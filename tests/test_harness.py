@@ -383,34 +383,36 @@ _EXP2_CONFIG = {
 }
 
 
-def _count_design_builds(monkeypatch):
-    # EXP2 explores with the uniform design: count the Frank-Wolfe searches
-    import nonlinbandit.learners as learners_mod
+def _count_exp2_builds(monkeypatch):
+    # EXP2 explores with the uniform design, so its one setup cost is the
+    # learner build (the inclusion matrix): count those
+    import nonlinbandit.harness as harness_mod
 
-    calls = []
-    original = learners_mod.kw_optimal_design
+    builds = []
+    original = harness_mod.Exp2
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        builds.append(kwargs.get("replications", 1))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(learners_mod, "kw_optimal_design", counting)
-    return calls
+    monkeypatch.setattr(harness_mod, "Exp2", counting)
+    return builds
 
 
 def test_exp2_design_built_once_per_cell(monkeypatch):
-    calls = _count_design_builds(monkeypatch)
+    builds = _count_exp2_builds(monkeypatch)
     config = ExperimentConfig.from_dict(_EXP2_CONFIG)
     assert all(r.error is None for r in run_experiment(config))
-    assert calls == []
+    # one validation build before any replication, then the cell's batch
+    assert builds == [1, config.replications]
 
 
 def test_exp2_design_built_once_per_sweep(monkeypatch):
-    calls = _count_design_builds(monkeypatch)
+    builds = _count_exp2_builds(monkeypatch)
     config = ExperimentConfig.from_dict({**_EXP2_CONFIG, "t_grid": [50, 100]})
     rows = run_sweep(config)
     assert [row["T"] for row in rows] == [50, 100]
-    assert calls == []
+    assert builds == [1, config.replications, config.replications]
 
 
 @pytest.mark.parametrize("algo,key", [("exp2", "design_eps"), ("exp2", "gama_mix"),

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from nonlinbandit import HardMixtureAdversary, MnlLink, ProblemDims, StochasticAdversary
+from nonlinbandit import (
+    ExperimentConfig,
+    HardMixtureAdversary,
+    MnlLink,
+    ProblemDims,
+    StochasticAdversary,
+    run_sweep,
+)
+from nonlinbandit import environments, kernel, learners
 from nonlinbandit.core import subsets_by_rank
 from nonlinbandit.harness import build_adversary
 from nonlinbandit.kernel import BernoulliChannel, ChoiceChannel
@@ -103,3 +111,39 @@ def test_stochastic_block_is_one_subset_per_class():
     sums = adversary.values[subsets].sum(axis=1)
     assert _same_bits(values[..., channel.classes], np.broadcast_to(sums / (1 + sums),
                                                                     (1, 5, 6)))
+
+
+def _counting(check, seen):
+    def counting(values, what, *args, **kwargs):
+        seen.append(what)
+        return check(values, what, *args, **kwargs)
+    return counting
+
+
+def test_batched_sweep_range_checks_only_block_link_values(mnl_hard_m2, monkeypatch):
+    # the criterion-5 sweep shape: every [0, 1] check on the batched path is
+    # one link-value check per block in class_values, in the play pass and in
+    # the regret replay; the learners check no reward and the kernel no column
+    calls = {}
+    for module in (environments, kernel, learners):
+        calls[module] = []
+        monkeypatch.setattr(module, "check_unit_interval",
+                            _counting(module.check_unit_interval, calls[module]))
+    grid, reps, algos = [1000, 3162, 10000], 2, ("exp3", "tsallis_inf")
+    config = ExperimentConfig.from_dict({
+        "dims": {"N": 5, "K": 2, "T": grid[-1], "d": None},
+        "link": {"kind": "mnl"},
+        "adversary": {"kind": "hard_nonpoly", "instance": mnl_hard_m2.to_json_dict(),
+                      "s_star": [0, 1], "delta": "auto"},
+        "algorithms": [{"name": algo, "params": {}} for algo in algos],
+        "replications": reps,
+        "base_seed": 0,
+        "t_grid": grid,
+    })
+    assert all(row["reps"] == reps for row in run_sweep(config))
+    # 1638-round blocks: 1 + 2 + 7 per algorithm and pass, 40 checks in all
+    block = max(16, kernel.BLOCK_ELEMENTS // (reps * math.comb(5, 2)))
+    blocks = sum(-(-horizon // block) for horizon in grid)
+    assert calls[learners] == []
+    assert calls[environments] == []
+    assert calls[kernel] == ["link value"] * (2 * len(algos) * blocks)

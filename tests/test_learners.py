@@ -491,6 +491,28 @@ def test_exp2_estimator_unbiased_small(rng):
     assert np.allclose(expectation, means, atol=1e-10)
 
 
+@pytest.mark.parametrize("gamma_mix", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("n_arms, size, order", [(4, 2, 1), (5, 2, 2), (8, 3, 1)])
+def test_exp2_estimator_unbiased_near_zero_probability(rng, n_arms, size, order,
+                                                       gamma_mix):
+    # almost all mass on one action, every other at about gamma_mix / A: the
+    # solve on W'PW loses up to eps * cond(W'PW) <= eps cond(W'W) / min p of
+    # each term p_S mu_S est_S, so the sum is held to 64 eps / min p relative
+    # to its largest term (cond(W'W) <= 4.2 at these keys)
+    learner = Exp2(n_arms, size, order, horizon=1000, gamma_mix=gamma_mix)
+    learner.estimates[0, 1] = 60.0 / learner.eta
+    p = learner.sampling_distribution()
+    assert p[1] > 1.0 - 2 * gamma_mix
+    link = PolynomialLink([0.05, 0.1, 0.08][:order + 1])
+    lifted = lift_reward_vector(rng.uniform(0, 1, size=n_arms), link, subset_size=size,
+                                order=order)
+    means = learner.features @ lifted
+    terms = np.stack([p[rank] * means[rank] * learner.estimate_rewards(rank, 1.0, p)
+                      for rank in range(learner.n_actions)])
+    bound = 64 * np.finfo(float).eps / p.min() * np.abs(terms).max()
+    assert np.abs(terms.sum(axis=0) - means).max() <= bound
+
+
 def test_exp2_sampling_distribution_structure(rng):
     learner = Exp2(4, 2, 2, horizon=500)
     p = learner.sampling_distribution()
