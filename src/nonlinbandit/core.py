@@ -281,9 +281,9 @@ def check_unit_interval(values, what: str, tol: float = 1e-12,
 
 
 def whole_number(value, what: str) -> int:
-    """``value`` as an int; a number with a fractional part raises ValueError
-    naming ``what`` instead of being truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """``value`` as an int; a boolean or a number with a fractional part raises
+    ValueError naming ``what`` instead of being read as 0 or 1 or truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return int(value)
 

@@ -9,6 +9,7 @@ checks in this module verify.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import bernoulli_kl
-from .core import LinkFunction, SubsetAction, check_unit_interval
+from .core import LinkFunction, SubsetAction, check_unit_interval, whole_number
 from .hardinstances import HardInstance, verify_hard_instance
 
 
@@ -92,6 +93,12 @@ class ObliviousAdversary(Adversary):
         return self.schedule[None, t0 - 1:t0 - 1 + count]
 
 
+def _mixture_weight(delta) -> float:
+    if not 0 < delta <= 1:
+        raise ValueError("delta must lie in (0, 1]")
+    return float(delta)
+
+
 class HardMixtureAdversary(Adversary):
     """Mixture adversary planting a hidden optimal subset.
 
@@ -109,9 +116,8 @@ class HardMixtureAdversary(Adversary):
 
     def __init__(self, instance: HardInstance, link: LinkFunction, planted,
                  delta: float, n_arms: int, subset_size: int):
-        if not 0 < delta <= 1:
-            raise ValueError("delta must lie in (0, 1]")
-        planted = tuple(sorted(int(i) for i in planted))
+        self.delta = _mixture_weight(delta)
+        planted = tuple(sorted(whole_number(i, "planted arm") for i in planted))
         if len(planted) != instance.m or len(set(planted)) != instance.m:
             raise ValueError(f"planted subset must have {instance.m} distinct arms")
         if planted[0] < 0 or planted[-1] >= n_arms:
@@ -126,7 +132,6 @@ class HardMixtureAdversary(Adversary):
         self.instance = instance
         self.link = link
         self.planted = planted
-        self.delta = float(delta)
         self.n_arms = int(n_arms)
         self.subset_size = int(subset_size)
         self._planted_arr = np.array(planted, dtype=np.int64)
@@ -135,6 +140,12 @@ class HardMixtureAdversary(Adversary):
         self._cum_weights = np.cumsum(instance.weights)
         self._cum_weights[-1] = 1.0
         self.n_uniforms = instance.m + 2
+
+    def with_delta(self, delta: float) -> "HardMixtureAdversary":
+        """A copy at ``delta`` sharing the verified instance and planted layout."""
+        twin = copy.copy(self)
+        twin.delta = _mixture_weight(delta)
+        return twin
 
     def reward_vector(self, t, rng):
         inst = self.instance
@@ -301,27 +312,23 @@ def kl_coefficient(instance: HardInstance, link: LinkFunction) -> float:
 
 
 def delta_schedule(n_arms: int, subset_size: int, horizon: int, kl_coeff: float,
-                   mode: str = "nonpoly", degree: int | None = None) -> float:
+                   degree: int | None = None) -> float:
     """Mixture weight balancing per-round gap against total information leakage.
 
-    General mode: min(1, sqrt(C(N, K)) / (2 * coeff * sqrt(T))).  Polynomial
-    mode replaces the action count by C(N, d) and scales the horizon by the
-    C(K, d) coverage multiplicity of size-d planted sets.
+    min(1, sqrt(C(N, K)) / (2 * coeff * sqrt(T))); a polynomial ``degree`` d in
+    [1, K) replaces the action count by C(N, d) and scales the horizon by the
+    C(K, d) coverage multiplicity of size-d planted sets (None is d = K).
     """
     if kl_coeff <= 0:
         raise ValueError("kl_coeff must be positive")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if mode == "nonpoly":
-        num = math.sqrt(math.comb(n_arms, subset_size))
-        den = 2.0 * kl_coeff * math.sqrt(horizon)
-    elif mode == "poly":
-        if degree is None or not 1 <= degree < subset_size:
-            raise ValueError("poly mode needs a degree in [1, K)")
-        num = math.sqrt(math.comb(n_arms, degree))
-        den = 2.0 * kl_coeff * math.sqrt(math.comb(subset_size, degree) * horizon)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if degree is None:
+        degree = subset_size
+    elif not 1 <= degree < subset_size:
+        raise ValueError("a polynomial degree must lie in [1, K)")
+    num = math.sqrt(math.comb(n_arms, degree))
+    den = 2.0 * kl_coeff * math.sqrt(math.comb(subset_size, degree) * horizon)
     return min(1.0, num / den)
 
 

@@ -5,8 +5,8 @@ an environment and a learner stream seeded by the two children of
 ``SeedSequence(base_seed, spawn_key=(r,))``, so no two (base seed,
 replication) pairs share a stream, and every horizon of a sweep reuses the
 same replication seeds (common random numbers).  The R replications of one
-(algorithm, horizon) cell advance in lockstep in ``kernel.run_batch``, in the
-horizon's adversary and channel, which are built once per run.  A
+(algorithm, horizon) cell advance in lockstep in ``kernel.run_batch``, in
+the config's one environment; a horizon sets only a hard mixture's delta.  A
 replication gives the same bits alone or in a batch, so a batch that raises
 is re-run one replication at a time and only the replications that fail
 alone are recorded as failed; :func:`run_replication` re-runs one
@@ -98,6 +98,10 @@ class ExperimentConfig:
         if self.t_grid is not None:
             if len(self.t_grid) == 0 or any(t < 1 for t in self.t_grid):
                 raise ValueError("t_grid entries must be positive")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"output must be a path string or null, got {self.output!r}")
+        if not isinstance(self.full_trace, bool):
+            raise ValueError(f"full_trace must be true or false, got {self.full_trace!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -119,7 +123,7 @@ class ExperimentConfig:
                 t_grid=(None if data.get("t_grid") is None
                         else [whole_number(t, "t_grid entry") for t in data["t_grid"]]),
                 output=data.get("output"),
-                full_trace=bool(data.get("full_trace", False)),
+                full_trace=data.get("full_trace", False),
             )
         except TypeError as exc:
             raise ValueError(f"malformed config: {exc}") from exc
@@ -171,28 +175,18 @@ def _load_instance(spec: dict) -> HardInstance:
     raise ValueError("hard adversary needs 'instance' or 'instance_path'")
 
 
-def _resolve_delta(spec, instance, link, dims, horizon) -> float:
-    delta = spec.get("delta", "auto")
-    if delta == "auto":
-        coeff = kl_coefficient(instance, link)
-        if spec["kind"] == "hard_poly":
-            return delta_schedule(dims.n_arms, dims.subset_size, horizon, coeff,
-                                  mode="poly", degree=instance.m)
-        return delta_schedule(dims.n_arms, dims.subset_size, horizon, coeff)
-    return float(delta)
-
-
-def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction, horizon: int
-                    ) -> tuple[Adversary, BernoulliChannel | ChoiceChannel]:
-    """Instantiate the adversary and its channel, the one place that picks the
-    feedback model: choice at unit prices (``mnl_hard``) or the spec's
-    (``mnl_general``), else Bernoulli through ``link``, on the adversary's
-    columns; checks the cap, and the link's range on stochastic values."""
+def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction, horizons
+                    ) -> tuple[list[Adversary], BernoulliChannel | ChoiceChannel]:
+    """The adversary at each of ``horizons`` (they differ at most in delta) and
+    their one channel, the one place that picks the feedback model: choice at
+    unit prices (``mnl_hard``) or the spec's (``mnl_general``), else Bernoulli
+    through ``link``, on the adversary's columns; checks the cap, a schedule's
+    length, and the link's range on stochastic values."""
     subsets = subsets_by_rank(dims.n_arms, dims.subset_size)
     kind = spec.get("kind")
+    prices = np.ones(dims.n_arms) if kind == "mnl_hard" else None
     if kind in HARD_KINDS:
         instance = _load_instance(spec)
-        delta = _resolve_delta(spec, instance, link, dims, horizon)
         if kind == "hard_poly":
             if dims.degree is None or instance.m != dims.degree:
                 raise ValueError("polynomial hard adversary needs dims.d == instance.m")
@@ -202,40 +196,43 @@ def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction, horizon: 
             raise ValueError(f"{kind} adversary needs a planted set of size K")
         if kind == "mnl_hard" and not isinstance(link, MnlLink):
             raise ValueError("mnl_hard requires the MNL link")
-        adversary = HardMixtureAdversary(
-            instance, link, spec["s_star"], delta,
-            n_arms=dims.n_arms, subset_size=dims.subset_size,
-        )
-        if kind == "mnl_hard":
-            return adversary, ChoiceChannel(np.ones(dims.n_arms), subsets,
-                                            adversary.arm_columns)
-        return adversary, BernoulliChannel(link, subsets, adversary.arm_columns)
-    if kind in ("mnl_general", "oblivious"):
+        delta = spec.get("delta", "auto")
+        coeff = kl_coefficient(instance, link) if delta == "auto" else None
+        degree = instance.m if kind == "hard_poly" else None
+        deltas = [float(delta) if coeff is None else
+                  delta_schedule(dims.n_arms, dims.subset_size, horizon, coeff, degree)
+                  for horizon in horizons]
+        adversary = HardMixtureAdversary(instance, link, spec["s_star"], deltas[0],
+                                         n_arms=dims.n_arms, subset_size=dims.subset_size)
+        adversaries = [adversary.with_delta(delta) for delta in deltas]
+    elif kind in ("mnl_general", "oblivious"):
         schedule = (np.asarray(spec["schedule"], dtype=float) if "schedule" in spec
                     else load_utility_schedule(spec["schedule_csv"], dims.n_arms))
         if schedule.ndim != 2 or schedule.shape[1] != dims.n_arms:
             raise ValueError(f"schedule rows must have one entry per arm ({dims.n_arms})")
-        if schedule.shape[0] < horizon:
+        if schedule.shape[0] < max(horizons):
             raise ValueError(f"schedule covers {schedule.shape[0]} rounds, "
-                             f"horizon needs {horizon}")
-        adversary = ObliviousAdversary(schedule)
-        if kind == "oblivious":
-            return adversary, BernoulliChannel(link, subsets, adversary.arm_columns)
-        prices = np.asarray(spec["prices"], dtype=float)
-        if prices.shape != (dims.n_arms,):
-            raise ValueError("prices must have one entry per arm")
-        return adversary, ChoiceChannel(prices, subsets, adversary.arm_columns)
-    if kind == "stochastic":
+                             f"horizon needs {max(horizons)}")
+        if kind == "mnl_general":
+            prices = np.asarray(spec["prices"], dtype=float)
+            if prices.shape != (dims.n_arms,):
+                raise ValueError("prices must have one entry per arm")
+        adversaries = [ObliviousAdversary(schedule)] * len(horizons)
+    elif kind == "stochastic":
         values = np.asarray(spec["v"], dtype=float)
         if values.shape != (dims.n_arms,):
             raise ValueError(f"v must have one entry per arm ({dims.n_arms})")
-        adversary = StochasticAdversary(values)
-        channel = BernoulliChannel(link, subsets, adversary.arm_columns)
+        adversaries = [StochasticAdversary(values)] * len(horizons)
+    else:
+        raise ValueError(f"unknown adversary kind {kind!r}")
+    columns = adversaries[0].arm_columns
+    channel = (BernoulliChannel(link, subsets, columns) if prices is None
+               else ChoiceChannel(prices, subsets, columns))
+    if kind == "stochastic":
         # the class values never change: a link that leaves [0, 1] on them
         # stops the run here, before any replication
-        channel.class_values(adversary.column_block(1, np.empty((1, 1, 0))))
-        return adversary, channel
-    raise ValueError(f"unknown adversary kind {kind!r}")
+        channel.class_values(adversaries[0].column_block(1, np.empty((1, 1, 0))))
+    return adversaries, channel
 
 
 def build_learner(spec: dict, dims: ProblemDims, horizon: int, link: LinkFunction,
@@ -262,7 +259,7 @@ def build_learner(spec: dict, dims: ProblemDims, horizon: int, link: LinkFunctio
         return Exp2(dims.n_arms, dims.subset_size, dims.degree, horizon,
                     eta=params.get("eta"), gamma_mix=params.get("gamma_mix"),
                     replications=replications)
-    subset = params["subset"]
+    subset = [whole_number(arm, "subset entry") for arm in params["subset"]]
     if len(subset) != dims.subset_size:
         raise ValueError(f"constant subset {subset} must hold K = {dims.subset_size} arms")
     return ConstantPolicy(SubsetAction.from_indices(subset, dims.n_arms),
@@ -333,19 +330,19 @@ def _checkpoint_rounds(horizon: int, full_trace: bool) -> np.ndarray:
 
 
 def _environments(config: ExperimentConfig, horizons) -> list[tuple]:
-    """Each horizon's (link, adversary, channel), built once and shared by every
-    algorithm, batch and re-run; with one learner of each algorithm, so a
-    configuration problem stops the run before its first replication.  A spec
-    value of the wrong JSON type raises ValueError, as in ``from_dict``."""
+    """Each horizon's (link, adversary, channel), built once per config and
+    shared by every algorithm, batch and re-run; with one learner of each
+    algorithm, so a configuration problem stops the run before its first
+    replication.  A wrong JSON type raises ValueError, as in ``from_dict``."""
     try:
         link = build_link(config.link_spec)
-        environments = [(link, *build_adversary(config.adversary_spec, config.dims, link,
-                                                horizon)) for horizon in horizons]
+        adversaries, channel = build_adversary(config.adversary_spec, config.dims, link,
+                                               horizons)
         for spec in config.algorithm_specs:
             build_learner(spec, config.dims, horizons[0], link)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed config: {exc}") from exc
-    return environments
+    return [(link, adversary, channel) for adversary in adversaries]
 
 
 def _run_cell(config: ExperimentConfig, environment, algo_spec: dict, horizon: int,

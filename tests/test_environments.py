@@ -85,6 +85,31 @@ def test_hard_adversary_validates_shape(mnl_hard_m2, mnl_link):
                              n_arms=5, subset_size=3)
 
 
+def test_with_delta_shares_the_verified_layout(mnl_hard_m3, mnl_link, monkeypatch):
+    # a copy at another mixture weight draws the same bits as a fresh
+    # adversary at that weight, without verifying the instance again
+    import nonlinbandit.environments as environments_mod
+
+    adv = HardMixtureAdversary(mnl_hard_m3, mnl_link, (1, 3, 4), 0.5,
+                               n_arms=6, subset_size=3)
+    fresh = HardMixtureAdversary(mnl_hard_m3, mnl_link, (1, 3, 4), 0.2,
+                                 n_arms=6, subset_size=3)
+
+    def no_verify(*args, **kwargs):
+        raise AssertionError("with_delta verified the instance again")
+
+    monkeypatch.setattr(environments_mod, "verify_hard_instance", no_verify)
+    twin = adv.with_delta(0.2)
+    assert (adv.delta, twin.delta) == (0.5, 0.2)
+    assert twin.instance is adv.instance and twin.arm_columns is adv.arm_columns
+    uniforms = np.random.default_rng(8).random((3, 40, adv.n_uniforms))
+    assert np.array_equal(twin.column_block(1, uniforms), fresh.column_block(1, uniforms))
+    assert not np.array_equal(adv.column_block(1, uniforms), twin.column_block(1, uniforms))
+    for bad in (0.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            adv.with_delta(bad)
+
+
 def test_mixture_mean_matches_baseline_except_at_planted(mnl_hard_m2, mnl_link):
     delta = 0.3
     base = mnl_hard_m2.baseline(mnl_link)
@@ -315,10 +340,10 @@ def test_delta_schedule_values():
 
 
 def test_delta_schedule_poly_mode():
-    val = delta_schedule(6, 3, 400, 1.0, mode="poly", degree=2)
+    val = delta_schedule(6, 3, 400, 1.0, degree=2)
     assert val == pytest.approx(math.sqrt(15) / (2 * math.sqrt(3 * 400)))
     with pytest.raises(ValueError):
-        delta_schedule(6, 3, 400, 1.0, mode="poly", degree=3)
+        delta_schedule(6, 3, 400, 1.0, degree=3)
     with pytest.raises(ValueError):
         delta_schedule(6, 3, 400, 0.0)
 

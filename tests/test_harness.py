@@ -827,7 +827,8 @@ def _count_calls(monkeypatch, module, name):
 
 def test_each_horizon_builds_its_adversary_once(mnl_hard_m2, monkeypatch):
     # verifying the instance and scanning the KL coefficient happen once per
-    # horizon, whatever the number of algorithms, batches and re-runs
+    # config, whatever the number of horizons, algorithms, batches and re-runs:
+    # a horizon sets only delta
     import nonlinbandit.environments as environments_mod
     import nonlinbandit.harness as harness_mod
 
@@ -838,12 +839,53 @@ def test_each_horizon_builds_its_adversary_once(mnl_hard_m2, monkeypatch):
     cfg["algorithms"].append({"name": "tsallis_inf", "params": {}})
     rows = run_sweep(ExperimentConfig.from_dict(cfg))
     assert [row["reps"] for row in rows] == [2] * 6
-    assert (len(verify), len(kl)) == (3, 3)
+    assert (len(verify), len(kl)) == (1, 1)
     verify.clear()
     kl.clear()
     run = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, delta="auto")
     assert all(r.error is None for r in run_experiment(run))
     assert (len(verify), len(kl)) == (1, 1)
+
+
+@pytest.mark.parametrize("kind", ["oblivious", "mnl_general"])
+def test_schedule_csv_sweep_parses_once_and_builds_one_channel(tmp_path, monkeypatch, kind):
+    import nonlinbandit.harness as harness_mod
+
+    sched_path = tmp_path / "schedule.csv"
+    sched_path.write_text("t,v_0,v_1,v_2,v_3,v_4\n" + "".join(
+        f"{t},0.1,0.4,0.2,0.3,0.25\n" for t in range(1, 51)))
+    parses = _count_calls(monkeypatch, harness_mod, "load_utility_schedule")
+    bernoulli = _count_calls(monkeypatch, harness_mod, "BernoulliChannel")
+    choice = _count_calls(monkeypatch, harness_mod, "ChoiceChannel")
+    cfg = {**_schedule_config(kind, {"schedule_csv": str(sched_path)}, None),
+           "output": None, "replications": 2, "t_grid": [10, 20, 35, 50]}
+    cfg["algorithms"].append({"name": "tsallis_inf", "params": {}})
+    rows = run_sweep(ExperimentConfig.from_dict(cfg))
+    assert [row["reps"] for row in rows] == [2] * 8
+    assert (len(parses), len(bernoulli) + len(choice)) == (1, 1)
+
+
+@pytest.mark.parametrize("source", ["inline", "csv"])
+def test_schedule_shorter_than_the_sweep_exits_one(tmp_path, capsys, monkeypatch, source):
+    # the length check runs once, against the longest horizon of the grid
+    import nonlinbandit.harness as harness_mod
+
+    schedule = [[0.1, 0.4, 0.2, 0.3, 0.25]] * 50
+    sched_path = tmp_path / "schedule.csv"
+    sched_path.write_text("t,v_0,v_1,v_2,v_3,v_4\n" + "".join(
+        f"{t},{','.join(map(repr, row))}\n" for t, row in enumerate(schedule, 1)))
+    adversary = ({"schedule": schedule} if source == "inline"
+                 else {"schedule_csv": str(sched_path)})
+    out = tmp_path / "sweep.csv"
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({**_schedule_config("oblivious", adversary, out),
+                               "t_grid": [20, 80, 50]}))
+    batches = _count_calls(monkeypatch, harness_mod, "run_batch")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: schedule covers 50 rounds, horizon needs 80"]
+    assert captured.out == ""
+    assert not out.exists() and batches == []
 
 
 # ---------------------------------------------------------------------------
@@ -945,6 +987,27 @@ def test_cli_rejects_every_non_finite_number(tmp_path, capsys, mnl_hard_m2, name
             assert len(lines) == 1 and lines[0].startswith("error: "), (command, path, lines)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("output", True), ("output", 3), ("output", ["run.csv"]), ("output", {"path": "x"}),
+    ("full_trace", "false"), ("full_trace", 1), ("full_trace", 0), ("full_trace", None),
+], ids=["output-true", "output-int", "output-list", "output-dict", "full_trace-string",
+        "full_trace-one", "full_trace-zero", "full_trace-null"])
+def test_output_and_full_trace_must_have_their_json_type(tmp_path, capsys, mnl_hard_m2,
+                                                         key, value):
+    # an "output" of true used to write the CSV to stdout and close it, and
+    # a "full_trace" of "false" turned the full trace on
+    config = {**_fuzz_configs(mnl_hard_m2)["hard_nonpoly-exp3"], key: value}
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(config))
+    for command in ("run", "sweep"):
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be"), lines
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("path, value, name", [
     (("dims", "N"), 5.5, "N"),
     (("dims", "K"), 2.5, "K"),
@@ -955,11 +1018,17 @@ def test_cli_rejects_every_non_finite_number(tmp_path, capsys, mnl_hard_m2, name
     (("t_grid",), [10.5, 20], "t_grid entry"),
     (("adversary", "instance", "m"), 2.5, "instance m"),
     (("adversary", "instance", "b"), 2.5, "instance b"),
+    (("adversary", "s_star"), [0.5, 1.7], "planted arm"),
+    (("algorithms", 0, "params", "subset"), [1.5, 3], "subset entry"),
+    (("dims", "K"), True, "K"),
+    (("replications",), True, "replications"),
 ], ids=["N", "K", "T", "d", "replications", "base_seed", "t_grid", "instance-m",
-        "instance-b"])
+        "instance-b", "s_star", "subset", "K-true", "replications-true"])
 def test_fractional_integer_field_exits_one(tmp_path, capsys, mnl_hard_m2, path, value, name):
-    # each of these used to be truncated by int() and run
-    config = _fuzz_configs(mnl_hard_m2)["stochastic-exp2" if name == "d" else "hard_nonpoly-exp3"]
+    # each of these used to be truncated by int() and run, a boolean as 0 or 1
+    config = _fuzz_configs(mnl_hard_m2)[{"d": "stochastic-exp2",
+                                         "subset entry": "mnl_general-constant"}
+                                        .get(name, "hard_nonpoly-exp3")]
     cfg = tmp_path / "fraction.json"
     cfg.write_text(json.dumps(_with_leaf(config, path, value)))
     shown = value[0] if isinstance(value, list) else value

@@ -35,7 +35,7 @@ def test_hard_mixture_class_counts(mnl_hard_m2, mnl_hard_m3, kind, n_arms, size,
                                    count):
     instance = mnl_hard_m2 if size == 2 else mnl_hard_m3
     dims = ProblemDims(n_arms, size, 100)
-    _, channel = build_adversary(_hard_spec(kind, instance, s_star), dims, MnlLink(), 100)
+    _, channel = build_adversary(_hard_spec(kind, instance, s_star), dims, MnlLink(), [100])
     assert channel.slots.shape == (count, size)
     assert channel.classes.shape == (math.comb(n_arms, size),)
     assert np.array_equal(np.unique(channel.classes), np.arange(count))
@@ -44,7 +44,7 @@ def test_hard_mixture_class_counts(mnl_hard_m2, mnl_hard_m3, kind, n_arms, size,
 def test_stochastic_subsets_are_their_own_classes():
     dims = ProblemDims(6, 3, 100)
     _, channel = build_adversary({"kind": "stochastic", "v": [0.1] * 6}, dims,
-                                 MnlLink(), 100)
+                                 MnlLink(), [100])
     assert channel.slots.shape == (20, 3)
     assert np.unique(channel.classes).size == 20
 
