@@ -3,7 +3,6 @@ hard-instance synthesis, subset-arm and tensorized learners, and a seeded
 experiment harness."""
 
 from .analysis import (
-    RegretTrace,
     bernoulli_kl,
     categorical_kl,
     regret_of_run,

@@ -3,11 +3,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinkFunction, SubsetAction, subsets_by_rank
+from .core import LinkFunction, subsets_by_rank
 
 
 # ---------------------------------------------------------------------------
@@ -57,23 +56,8 @@ def tv_distance(p, q) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Regret traces
+# Regret of a recorded run
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RegretTrace:
-    """Per-round expected regret of a run against the best fixed subset."""
-
-    benchmark: SubsetAction
-    benchmark_values: np.ndarray
-    played_values: np.ndarray
-    inst_regret: np.ndarray
-    cum_regret: np.ndarray
-
-    @property
-    def final_regret(self) -> float:
-        return float(self.cum_regret[-1])
-
 
 def check_feedback_model(link, prices):
     """Exactly one of ``link`` (Bernoulli) or ``prices`` (choice feedback)."""
@@ -92,15 +76,16 @@ def _subset_values(hidden, idx, link, prices):
 
 
 def regret_of_run(hidden, played, link: LinkFunction | None = None,
-                  prices=None) -> RegretTrace:
-    """Exact expected-regret trace of a recorded run: the hidden values (T, N)
-    and the played subsets' arms (T, K) of :func:`harness.simulate`.
+                  prices=None) -> tuple[int, np.ndarray]:
+    """Exact expected regret of a recorded run: the hidden values (T, N) and
+    the played subsets' arms (T, K) of :func:`harness.simulate`.
 
     Finds the fixed subset maximizing the summed expected reward over the
     realized hidden vectors by exhaustive enumeration (ties to the smallest
-    rank), then reports per-round and cumulative shortfalls of the played
-    sequence.  Expected rewards are used throughout, never the realized
-    feedback noise.
+    rank), then returns its colex rank and the played sequence's per-round
+    shortfall against it, shape (T,); the cumulative regret is its running
+    sum.  Expected rewards are used throughout, never the realized feedback
+    noise.
     """
     check_feedback_model(link, prices)
     hidden = np.asarray(hidden, dtype=float)
@@ -116,23 +101,10 @@ def regret_of_run(hidden, played, link: LinkFunction | None = None,
         if prices.shape != (n_arms,):
             raise ValueError("prices must have one entry per arm")
     table = subsets_by_rank(n_arms, subset_size)
-    best_total, best_rank = -np.inf, -1
-    for rank, combo in enumerate(table):  # ascending rank: ties keep the smaller
-        total = float(_subset_values(hidden, combo, link, prices).sum())
-        if total > best_total:
-            best_total, best_rank = total, rank
-    benchmark = SubsetAction(tuple(int(i) for i in table[best_rank]), best_rank)
-
+    totals = [_subset_values(hidden, combo, link, prices).sum() for combo in table]
+    best_rank = int(np.argmax(totals))  # the first maximum: ties to the smallest rank
     bench_vals = _subset_values(hidden, table[best_rank], link, prices)
-    played_vals = _subset_values(hidden, played, link, prices)
-    inst = bench_vals - played_vals
-    return RegretTrace(
-        benchmark=benchmark,
-        benchmark_values=bench_vals,
-        played_values=played_vals,
-        inst_regret=inst,
-        cum_regret=np.cumsum(inst),
-    )
+    return best_rank, bench_vals - _subset_values(hidden, played, link, prices)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,8 @@ import argparse
 import os
 import sys
 
-from .core import LinkDomainError, LinkRangeError
 from .hardinstances import (
     HardInstance,
-    SimplexError,
     find_hard_instance,
     identity_battery,
     verify_hard_instance,
@@ -170,10 +168,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, LinkDomainError, LinkRangeError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SimplexError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -281,11 +281,28 @@ def check_unit_interval(values, what: str, tol: float = 1e-12,
 
 
 def whole_number(value, what: str) -> int:
-    """``value`` as an int; a boolean or a number with a fractional part raises
-    ValueError naming ``what`` instead of being read as 0 or 1 or truncated."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """``value`` as an int; a boolean, a string or a fraction raises ValueError
+    naming ``what`` instead of being read as 0 or 1, parsed or truncated."""
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return int(value)
+
+
+def real_number(value, what: str) -> float:
+    """``value`` as a float; a boolean or a string raises ValueError naming ``what``."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def real_array(values, what: str) -> np.ndarray:
+    """``values``, nested lists of numbers, as a float array, each entry checked
+    by :func:`real_number`; a null reads as NaN, which finiteness checks reject."""
+    entries = np.asarray(values, dtype=object)
+    for value in entries.flat:
+        if value is not None:
+            real_number(value, what)
+    return entries.astype(float)
 
 
 def subset_sums(values, combos: np.ndarray) -> np.ndarray:

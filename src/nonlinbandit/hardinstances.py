@@ -23,6 +23,8 @@ from .core import (
     LinkFunction,
     check_enumeration,
     check_unit_interval,
+    real_array,
+    real_number,
     subset_sums,
     subsets_by_rank,
     whole_number,
@@ -310,13 +312,13 @@ class HardInstance:
     @classmethod
     def from_json_dict(cls, data: dict) -> "HardInstance":
         return cls(
-            x0=float(data["x0"]),
+            x0=real_number(data["x0"], "instance x0"),
             m=whole_number(data["m"], "instance m"),
             b=whole_number(data["b"], "instance b"),
-            support=np.asarray(data["support"], dtype=float),
-            weights=np.asarray(data["weights"], dtype=float),
-            gamma=float(data["gamma"]),
-            residuals=np.asarray(data.get("residuals", []), dtype=float),
+            support=real_array(data["support"], "instance support entry"),
+            weights=real_array(data["weights"], "instance weight"),
+            gamma=real_number(data["gamma"], "instance gamma"),
+            residuals=real_array(data.get("residuals", []), "instance residual"),
         )
 
     def save(self, path):

@@ -15,7 +15,9 @@ replication by its index.  Results are ordered by run id.
 :func:`simulate` with ``analysis.regret_of_run`` is the per-round reference
 path (:func:`reference_replication`) that the kernel is tested against: it
 records a run as columns (hidden values, played arms, realized rewards),
-and ``regret_of_run`` reads the first two.
+and ``regret_of_run`` reads the first two and returns the per-round regret.
+Both paths yield a ``kernel.BatchTrace``, the reference path one row at the
+checkpoints, and one helper builds every :class:`RunResult` from a trace.
 """
 from __future__ import annotations
 
@@ -37,6 +39,8 @@ from .core import (
     TabulatedLink,
     colex_ranks,
     expected_reward,
+    real_array,
+    real_number,
     subsets_by_rank,
     whole_number,
 )
@@ -52,7 +56,7 @@ from .environments import (
     mnl_sample_choice,
 )
 from .hardinstances import HardInstance
-from .kernel import BernoulliChannel, ChoiceChannel, replication_seeds, run_batch
+from .kernel import BatchTrace, BernoulliChannel, ChoiceChannel, replication_seeds, run_batch
 from .learners import ConstantPolicy, Exp2, SubsetMab
 
 HARD_KINDS = ("hard_nonpoly", "hard_poly", "mnl_hard")
@@ -161,9 +165,10 @@ def build_link(spec: dict) -> LinkFunction:
     if kind == "mnl":
         return MnlLink()
     if kind == "polynomial":
-        return PolynomialLink(spec["coefficients"])
+        return PolynomialLink(real_array(spec["coefficients"], "coefficient"))
     if kind == "tabulated":
-        return TabulatedLink(spec["xs"], spec["ys"])
+        return TabulatedLink(real_array(spec["xs"], "xs entry"),
+                             real_array(spec["ys"], "ys entry"))
     raise ValueError(f"unknown link kind {kind!r}")
 
 
@@ -199,14 +204,14 @@ def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction, horizons
         delta = spec.get("delta", "auto")
         coeff = kl_coefficient(instance, link) if delta == "auto" else None
         degree = instance.m if kind == "hard_poly" else None
-        deltas = [float(delta) if coeff is None else
+        deltas = [real_number(delta, "delta") if coeff is None else
                   delta_schedule(dims.n_arms, dims.subset_size, horizon, coeff, degree)
                   for horizon in horizons]
         adversary = HardMixtureAdversary(instance, link, spec["s_star"], deltas[0],
                                          n_arms=dims.n_arms, subset_size=dims.subset_size)
         adversaries = [adversary.with_delta(delta) for delta in deltas]
     elif kind in ("mnl_general", "oblivious"):
-        schedule = (np.asarray(spec["schedule"], dtype=float) if "schedule" in spec
+        schedule = (real_array(spec["schedule"], "schedule entry") if "schedule" in spec
                     else load_utility_schedule(spec["schedule_csv"], dims.n_arms))
         if schedule.ndim != 2 or schedule.shape[1] != dims.n_arms:
             raise ValueError(f"schedule rows must have one entry per arm ({dims.n_arms})")
@@ -214,12 +219,12 @@ def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction, horizons
             raise ValueError(f"schedule covers {schedule.shape[0]} rounds, "
                              f"horizon needs {max(horizons)}")
         if kind == "mnl_general":
-            prices = np.asarray(spec["prices"], dtype=float)
+            prices = real_array(spec["prices"], "price")
             if prices.shape != (dims.n_arms,):
                 raise ValueError("prices must have one entry per arm")
         adversaries = [ObliviousAdversary(schedule)] * len(horizons)
     elif kind == "stochastic":
-        values = np.asarray(spec["v"], dtype=float)
+        values = real_array(spec["v"], "v entry")
         if values.shape != (dims.n_arms,):
             raise ValueError(f"v must have one entry per arm ({dims.n_arms})")
         adversaries = [StochasticAdversary(values)] * len(horizons)
@@ -249,16 +254,17 @@ def build_learner(spec: dict, dims: ProblemDims, horizon: int, link: LinkFunctio
                          f"accepted: {list(accepted)}")
     if name in ("exp3", "tsallis_inf"):
         return SubsetMab(dims.n_arms, dims.subset_size, algorithm=name,
-                         mixing=float(params.get("mixing", 0.0)),
+                         mixing=real_number(params.get("mixing", 0.0), "mixing"),
                          replications=replications)
     if name == "exp2":
         if dims.degree is None:
             raise ValueError("exp2 needs dims.d (the tensor order)")
         if not isinstance(link, PolynomialLink) or link.degree > dims.degree:
             raise ValueError("exp2 requires a polynomial link of degree <= dims.d")
+        eta, gamma_mix = (None if params.get(key) is None else real_number(params[key], key)
+                          for key in ("eta", "gamma_mix"))
         return Exp2(dims.n_arms, dims.subset_size, dims.degree, horizon,
-                    eta=params.get("eta"), gamma_mix=params.get("gamma_mix"),
-                    replications=replications)
+                    eta=eta, gamma_mix=gamma_mix, replications=replications)
     subset = [whole_number(arm, "subset entry") for arm in params["subset"]]
     if len(subset) != dims.subset_size:
         raise ValueError(f"constant subset {subset} must hold K = {dims.subset_size} arms")
@@ -315,7 +321,6 @@ class RunResult:
 
     run_id: int
     seed: int
-    config_hash: str
     checkpoints: list[tuple[int, int, float, float, float]] = field(repr=False)
     final_regret: float = 0.0
     wall_time_s: float = 0.0
@@ -356,15 +361,20 @@ def _run_cell(config: ExperimentConfig, environment, algo_spec: dict, horizon: i
                       [replication_seeds(config.base_seed, r) for r in run_ids],
                       _checkpoint_rounds(horizon, config.full_trace))
     share = (time.perf_counter() - start) / len(run_ids)
-    config_hash = config.config_hash()
+    return _run_results(config, trace, run_ids, share)
+
+
+def _run_results(config: ExperimentConfig, trace: BatchTrace, run_ids: list[int],
+                 wall_time_s: float) -> list[RunResult]:
+    """One :class:`RunResult` per row of ``trace``, for replications ``run_ids``."""
     rounds = trace.rounds.tolist()
     return [
-        RunResult(run_id=run_id, seed=config.base_seed, config_hash=config_hash,
+        RunResult(run_id=run_id, seed=config.base_seed,
                   checkpoints=list(zip(rounds, trace.ranks[row].tolist(),
                                        trace.rewards[row].tolist(),
                                        trace.inst_regret[row].tolist(),
                                        trace.cum_regret[row].tolist())),
-                  final_regret=float(trace.final_regret[row]), wall_time_s=share)
+                  final_regret=float(trace.final_regret[row]), wall_time_s=wall_time_s)
         for row, run_id in enumerate(run_ids)
     ]
 
@@ -380,8 +390,7 @@ def _safe_cell(config: ExperimentConfig, environment, algo_spec: dict, horizon: 
         if len(run_ids) > 1:
             return [res for run_id in run_ids
                     for res in _safe_cell(config, environment, algo_spec, horizon, [run_id])]
-        return [RunResult(run_id=run_ids[0], seed=config.base_seed,
-                          config_hash=config.config_hash(), checkpoints=[],
+        return [RunResult(run_id=run_ids[0], seed=config.base_seed, checkpoints=[],
                           final_regret=float("nan"), wall_time_s=0.0,
                           error=f"{type(exc).__name__}: {exc}")]
 
@@ -399,7 +408,8 @@ def run_replication(config: ExperimentConfig, run_id: int) -> RunResult:
 def reference_replication(config: ExperimentConfig, algo_spec: dict, horizon: int,
                           run_id: int) -> RunResult:
     """Replication ``run_id`` on the per-round reference path: :func:`simulate`
-    and ``regret_of_run`` on the kernel's streams and environment."""
+    and ``regret_of_run`` on the kernel's streams and environment, sliced at
+    the kernel's checkpoints into a one-row ``BatchTrace``."""
     [(link, adversary, channel)] = _environments(config, [horizon])
     learner = build_learner(algo_spec, config.dims, horizon, link)
     env_seed, learner_seed = replication_seeds(config.base_seed, run_id)
@@ -407,17 +417,14 @@ def reference_replication(config: ExperimentConfig, algo_spec: dict, horizon: in
     hidden, played, rewards = simulate(
         adversary, learner, horizon, np.random.default_rng(env_seed),
         np.random.default_rng(learner_seed), link=channel.link, prices=channel.prices)
-    trace = regret_of_run(hidden, played, link=channel.link, prices=channel.prices)
+    _, inst_regret = regret_of_run(hidden, played, link=channel.link, prices=channel.prices)
     elapsed = time.perf_counter() - start
     rows = _checkpoint_rounds(horizon, config.full_trace) - 1
-    ranks = colex_ranks(played[rows], config.dims.n_arms)
-    return RunResult(run_id=run_id, seed=config.base_seed,
-                     config_hash=config.config_hash(),
-                     checkpoints=list(zip((rows + 1).tolist(), ranks.tolist(),
-                                          rewards[rows].tolist(),
-                                          trace.inst_regret[rows].tolist(),
-                                          trace.cum_regret[rows].tolist())),
-                     final_regret=trace.final_regret, wall_time_s=elapsed)
+    trace = BatchTrace(rounds=rows + 1,
+                       ranks=colex_ranks(played[None, rows], config.dims.n_arms),
+                       rewards=rewards[None, rows], inst_regret=inst_regret[None, rows],
+                       cum_regret=np.cumsum(inst_regret)[None, rows])
+    return _run_results(config, trace, [run_id], elapsed)[0]
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunResult]:

@@ -30,7 +30,9 @@ Every class value is added in the same order as the sums of its subsets, so
 the kernel carries the same bits as the per-round reference path
 (``harness.simulate``, whose hidden values and played arms
 ``analysis.regret_of_run`` reads) for the played ranks and rewards; the
-regret sums are added in a different order.
+regret sums are added in a different order.  :class:`BatchTrace` is the
+package's one trajectory type: the reference path reports its run as a
+one-row trace at the same checkpoints.
 """
 from __future__ import annotations
 
@@ -114,7 +116,9 @@ class ChoiceChannel:
 
 @dataclass
 class BatchTrace:
-    """Checkpoint columns of R replications (one row each).
+    """Checkpoint columns of R replications: the rounds, shape (C,), ending
+    at the horizon, and one row per replication of the played ranks, the
+    realized rewards and the regrets, shape (R, C).
 
     ``inst_regret`` and ``cum_regret`` are measured against each row's best
     fixed subset in hindsight (ties to the smallest rank).

@@ -21,6 +21,7 @@ from nonlinbandit import (
     simulate,
     slope_estimate,
     tv_distance,
+    unrank_subset,
 )
 
 
@@ -95,54 +96,57 @@ def _fixed_run(v, plays):
 def test_constant_benchmark_policy_has_zero_regret():
     g = MnlLink()
     v = np.array([0.9, 0.8, 0.1, 0.2])
-    trace = regret_of_run(*_fixed_run(v, [(0, 1)] * 10), link=g)
-    assert trace.benchmark.indices == (0, 1)
-    assert trace.final_regret == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(trace.cum_regret, np.cumsum(trace.inst_regret))
+    benchmark, inst_regret = regret_of_run(*_fixed_run(v, [(0, 1)] * 10), link=g)
+    assert unrank_subset(benchmark, 4, 2) == (0, 1)
+    assert inst_regret.shape == (10,)
+    assert inst_regret.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_single_round_gap():
     # best subset collects 0.6, the played one 0.4
     lin = PolynomialLink([0.0, 1.0])
     v = np.array([0.3, 0.3, 0.2, 0.2])
-    trace = regret_of_run(*_fixed_run(v, [(2, 3)]), link=lin)
-    assert trace.benchmark.indices == (0, 1)
-    assert trace.final_regret == pytest.approx(0.2)
+    benchmark, inst_regret = regret_of_run(*_fixed_run(v, [(2, 3)]), link=lin)
+    assert unrank_subset(benchmark, 4, 2) == (0, 1)
+    assert inst_regret.sum() == pytest.approx(0.2)
 
 
 def test_regret_matches_definition_oracle(rng):
     g = MnlLink()
     schedule = rng.uniform(0, 1, size=(20, 5))
     plays = [tuple(sorted(rng.choice(5, size=2, replace=False))) for _ in range(20)]
-    trace = regret_of_run(schedule, np.array(plays), link=g)
+    benchmark, inst_regret = regret_of_run(schedule, np.array(plays), link=g)
     # independent recomputation straight from the definition
     best_total, best_combo = -np.inf, None
     for combo in itertools.combinations(range(5), 2):
         total = sum(g(float(schedule[t][list(combo)].sum())) for t in range(20))
         if total > best_total:
             best_total, best_combo = total, combo
-    assert trace.benchmark.indices == best_combo
+    assert unrank_subset(benchmark, 5, 2) == best_combo
     expected = [
         g(float(schedule[t][list(best_combo)].sum()))
         - g(float(schedule[t][list(plays[t])].sum()))
         for t in range(20)
     ]
-    assert np.allclose(trace.inst_regret, expected, atol=1e-12)
-    assert trace.final_regret == pytest.approx(sum(expected), abs=1e-10)
+    assert np.allclose(inst_regret, expected, atol=1e-12)
+    assert inst_regret.sum() == pytest.approx(sum(expected), abs=1e-10)
 
 
 def test_mnl_revenue_trace(rng):
     prices = np.array([1.0, 0.5, 0.2, 0.8])
     schedule = rng.uniform(0, 1, size=(10, 4))
     plays = [tuple(sorted(rng.choice(4, size=2, replace=False))) for _ in range(10)]
-    trace = regret_of_run(schedule, np.array(plays), prices=prices)
+    _, inst_regret = regret_of_run(schedule, np.array(plays), prices=prices)
     from nonlinbandit import mnl_revenue
     best_total = max(
         sum(mnl_revenue(SubsetAction.from_indices(c, 4), schedule[t], prices)
             for t in range(10))
         for c in itertools.combinations(range(4), 2)
     )
-    assert trace.benchmark_values.sum() == pytest.approx(best_total, abs=1e-10)
+    # the benchmark's total: what was played plus the regret against it
+    played_total = sum(mnl_revenue(SubsetAction.from_indices(plays[t], 4), schedule[t], prices)
+                       for t in range(10))
+    assert played_total + inst_regret.sum() == pytest.approx(best_total, abs=1e-10)
 
 
 def test_regret_nonnegative_on_hard_instance(mnl_hard_m2, mnl_link):
@@ -152,8 +156,8 @@ def test_regret_nonnegative_on_hard_instance(mnl_hard_m2, mnl_link):
     learner = SubsetMab(5, 2, "exp3")
     hidden, played, _ = simulate(adv, learner, 2000, rng, np.random.default_rng(34),
                                  link=mnl_link)
-    trace = regret_of_run(hidden, played, link=mnl_link)
-    assert trace.final_regret >= 0.0
+    _, inst_regret = regret_of_run(hidden, played, link=mnl_link)
+    assert inst_regret.sum() >= 0.0
 
 
 def test_regret_requires_exactly_one_value_model():

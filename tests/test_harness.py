@@ -11,8 +11,10 @@ import pytest
 from nonlinbandit import (
     ExperimentConfig,
     MnlLink,
+    PolynomialLink,
     ProblemDims,
     reference_replication,
+    regret_of_run,
     run_experiment,
     run_replication,
     run_sweep,
@@ -176,6 +178,27 @@ def test_kernel_matches_per_round_reference(mnl_hard_m2, quadratic_hard_m2, hori
                 _assert_regret_close(mine[4], theirs[4], label)
             _assert_regret_close(batch[rep].final_regret, ref.final_regret, label)
             assert got[-1][0] == horizon
+
+
+def test_both_regret_paths_break_a_tie_to_the_smallest_rank():
+    # arms 0 and 1 each total exactly 1.0 over the two rounds, so the
+    # benchmark is rank 0 (arm 0) and the constant play of arm 1 reads
+    # [1, -1]; a tie broken to rank 1 would read [0, 0]
+    schedule = [[1.0, 0.0], [0.0, 1.0]]
+    config = ExperimentConfig.from_dict({
+        "dims": {"N": 2, "K": 1, "T": 2, "d": None},
+        "link": {"kind": "polynomial", "coefficients": [0.0, 1.0]},
+        "adversary": {"kind": "oblivious", "schedule": schedule},
+        "algorithms": [{"name": "constant", "params": {"subset": [1]}}],
+        "replications": 1, "base_seed": 0, "full_trace": True})
+    [kernel] = run_experiment(config)
+    reference = reference_replication(config, config.algorithm_specs[0], 2, 0)
+    for result in (kernel, reference):
+        assert [row[3] for row in result.checkpoints] == [1.0, -1.0]
+    benchmark, inst_regret = regret_of_run(np.array(schedule), np.array([[1], [1]]),
+                                           link=PolynomialLink([0.0, 1.0]))
+    assert benchmark == 0
+    assert inst_regret.tolist() == [1.0, -1.0]
 
 
 # SHA-256 of the output files below, written by the kernel that computed every
@@ -963,19 +986,15 @@ def test_cli_survives_every_mistyped_leaf(tmp_path, mnl_hard_m2, name, value):
             assert code in (0, 1, 2), (command, path)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
-                         ids=["nan", "inf", "minus-inf"])
-@pytest.mark.parametrize("name", ["hard_nonpoly-exp3", "stochastic-exp2",
-                                  "mnl_general-constant"])
-def test_cli_rejects_every_non_finite_number(tmp_path, capsys, mnl_hard_m2, name, value):
-    # JSON reads NaN and Infinity: each numeric leaf of a valid config,
-    # replaced in turn, makes run and sweep exit 1, never 0 or a traceback
-    config = _fuzz_configs(mnl_hard_m2)[name]
-    cfg = tmp_path / "non_finite.json"
+def _assert_every_numeric_leaf_exits_one(tmp_path, capsys, config, replace):
+    """Each int or float leaf of ``config``, replaced in turn by
+    ``replace(leaf)``, makes run and sweep exit 1 with one ``error:`` line."""
+    cfg = tmp_path / "replaced.json"
     paths = [path for path in _leaf_paths(config)
              if type(_leaf(config, path)) in (int, float)]
     assert paths
     for path in paths:
+        value = replace(_leaf(config, path))
         cfg.write_text(json.dumps(_with_leaf(config, path, value)))
         for command in ("run", "sweep"):
             try:
@@ -985,6 +1004,29 @@ def test_cli_rejects_every_non_finite_number(tmp_path, capsys, mnl_hard_m2, name
             lines = capsys.readouterr().err.splitlines()
             assert code == 1, (command, path, lines)
             assert len(lines) == 1 and lines[0].startswith("error: "), (command, path, lines)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("name", ["hard_nonpoly-exp3", "stochastic-exp2",
+                                  "mnl_general-constant"])
+def test_cli_rejects_every_non_finite_number(tmp_path, capsys, mnl_hard_m2, name, value):
+    # JSON reads NaN and Infinity: each numeric leaf of a valid config,
+    # replaced in turn, makes run and sweep exit 1, never 0 or a traceback
+    _assert_every_numeric_leaf_exits_one(tmp_path, capsys, _fuzz_configs(mnl_hard_m2)[name],
+                                         lambda _: value)
+
+
+@pytest.mark.parametrize("kind", ["numeric-string", "true"])
+@pytest.mark.parametrize("name", ["hard_nonpoly-exp3", "stochastic-exp2",
+                                  "mnl_general-constant"])
+def test_cli_rejects_every_number_of_the_wrong_json_type(tmp_path, capsys, mnl_hard_m2,
+                                                          name, kind):
+    # each numeric leaf of a valid config, replaced in turn by its string
+    # ("4", "0.2") or by true: run and sweep exit 1 where int() or float()
+    # used to parse the string and read true as 1
+    _assert_every_numeric_leaf_exits_one(tmp_path, capsys, _fuzz_configs(mnl_hard_m2)[name],
+                                         str if kind == "numeric-string" else lambda _: True)
 
 
 @pytest.mark.parametrize("key, value", [
