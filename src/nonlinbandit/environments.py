@@ -50,6 +50,11 @@ class Adversary:
     def column_block(self, t0: int, uniforms: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def for_rows(self, rows) -> "Adversary":
+        """The adversary of the batch rows ``rows`` (an index array, a mask or
+        a slice): itself, unless it holds per-row state."""
+        return self
+
 
 class StochasticAdversary(Adversary):
     """Plays one fixed reward vector every round."""
@@ -93,10 +98,13 @@ class ObliviousAdversary(Adversary):
         return self.schedule[None, t0 - 1:t0 - 1 + count]
 
 
-def _mixture_weight(delta) -> float:
-    if not 0 < delta <= 1:
+def _mixture_weight(delta):
+    """``delta`` as a float, or as an (R,) array of one weight per batch row;
+    every entry must lie in (0, 1]."""
+    weights = np.asarray(delta, dtype=float)
+    if weights.ndim > 1 or not np.all((0 < weights) & (weights <= 1)):
         raise ValueError("delta must lie in (0, 1]")
-    return float(delta)
+    return float(weights) if weights.ndim == 0 else weights
 
 
 class HardMixtureAdversary(Adversary):
@@ -111,11 +119,13 @@ class HardMixtureAdversary(Adversary):
     ``delta``), the atom draw (inverse CDF over the weights), and m keys
     whose argsort is the uniformly random permutation of the atom.  A block
     has m + 1 columns: the planted coordinates in arm order, then x0, which
-    every other arm holds.
+    every other arm holds.  ``delta`` is a float, or an (R,) array that gives
+    each row of a block its own weight (:meth:`column_block` only;
+    :meth:`reward_vector` draws one round at a float ``delta``).
     """
 
     def __init__(self, instance: HardInstance, link: LinkFunction, planted,
-                 delta: float, n_arms: int, subset_size: int):
+                 delta, n_arms: int, subset_size: int):
         self.delta = _mixture_weight(delta)
         planted = tuple(sorted(whole_number(i, "planted arm") for i in planted))
         if len(planted) != instance.m or len(set(planted)) != instance.m:
@@ -128,7 +138,7 @@ class HardMixtureAdversary(Adversary):
             raise ValueError("planted subset cannot exceed the action size")
         report = verify_hard_instance(instance, link)
         if not report.valid:
-            raise ValueError(f"refusing INVALID instance:\n{report}")
+            raise ValueError(f"refusing INVALID instance: {'; '.join(report.messages)}")
         self.instance = instance
         self.link = link
         self.planted = planted
@@ -141,11 +151,17 @@ class HardMixtureAdversary(Adversary):
         self._cum_weights[-1] = 1.0
         self.n_uniforms = instance.m + 2
 
-    def with_delta(self, delta: float) -> "HardMixtureAdversary":
-        """A copy at ``delta`` sharing the verified instance and planted layout."""
+    def with_delta(self, delta) -> "HardMixtureAdversary":
+        """A copy at ``delta`` (a float or one weight per row) sharing the
+        verified instance and planted layout."""
         twin = copy.copy(self)
         twin.delta = _mixture_weight(delta)
         return twin
+
+    def for_rows(self, rows) -> "HardMixtureAdversary":
+        """The copy holding the weights of rows ``rows``; an integer index
+        gives a float ``delta``, as :meth:`reward_vector` needs."""
+        return self if isinstance(self.delta, float) else self.with_delta(self.delta[rows])
 
     def reward_vector(self, t, rng):
         inst = self.instance
@@ -161,7 +177,7 @@ class HardMixtureAdversary(Adversary):
 
     def column_block(self, t0, uniforms):
         inst = self.instance
-        planted = uniforms[..., 0] < self.delta
+        planted = uniforms[..., 0] < np.reshape(self.delta, (-1, 1))
         atoms = inst.support[np.searchsorted(self._cum_weights, uniforms[..., 1],
                                              side="right")]
         shuffled = np.take_along_axis(atoms, np.argsort(uniforms[..., 2:], axis=-1),

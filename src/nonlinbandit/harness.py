@@ -4,13 +4,15 @@ Runs are reproducible byte-for-byte.  Replication r of a config draws from
 an environment and a learner stream seeded by the two children of
 ``SeedSequence(base_seed, spawn_key=(r,))``, so no two (base seed,
 replication) pairs share a stream, and every horizon of a sweep reuses the
-same replication seeds (common random numbers).  The R replications of one
-(algorithm, horizon) cell advance in lockstep in ``kernel.run_batch``, in
-the config's one environment; a horizon sets only a hard mixture's delta.  A
-replication gives the same bits alone or in a batch, so a batch that raises
-is re-run one replication at a time and only the replications that fail
-alone are recorded as failed; :func:`run_replication` re-runs one
-replication by its index.  Results are ordered by run id.
+same replication seeds (common random numbers).  Each algorithm runs every
+(horizon, replication) row of a sweep as one batch in ``kernel.run_batch``,
+in the config's one environment, and a row retires at its horizon; run mode
+is the one-horizon case.  A horizon sets only a hard mixture's delta and
+EXP2's default rates, which the batch holds per row.  A replication gives
+the same bits alone or in a batch, so a batch that raises is re-run one
+row at a time and only the rows that fail alone are recorded as failed;
+:func:`run_replication` re-runs one replication by its index.  Results are
+ordered by run id.
 
 :func:`simulate` with ``analysis.regret_of_run`` is the per-round reference
 path (:func:`reference_replication`) that the kernel is tested against: it
@@ -181,12 +183,14 @@ def _load_instance(spec: dict) -> HardInstance:
 
 
 def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction, horizons
-                    ) -> tuple[list[Adversary], BernoulliChannel | ChoiceChannel]:
-    """The adversary at each of ``horizons`` (they differ at most in delta) and
-    their one channel, the one place that picks the feedback model: choice at
-    unit prices (``mnl_hard``) or the spec's (``mnl_general``), else Bernoulli
-    through ``link``, on the adversary's columns; checks the cap, a schedule's
-    length, and the link's range on stochastic values."""
+                    ) -> tuple[Adversary, BernoulliChannel | ChoiceChannel]:
+    """The adversary of ``horizons`` and its channel, the one place that picks
+    the feedback model: choice at unit prices (``mnl_hard``) or the spec's
+    (``mnl_general``), else Bernoulli through ``link``, on the adversary's
+    columns; checks the cap, a schedule's length, and the link's range on
+    stochastic values.  The horizons differ at most in a hard mixture's delta,
+    which the adversary holds per horizon: ``adversary.for_rows(i)`` is the
+    adversary of ``horizons[i]``."""
     subsets = subsets_by_rank(dims.n_arms, dims.subset_size)
     kind = spec.get("kind")
     prices = np.ones(dims.n_arms) if kind == "mnl_hard" else None
@@ -207,9 +211,8 @@ def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction, horizons
         deltas = [real_number(delta, "delta") if coeff is None else
                   delta_schedule(dims.n_arms, dims.subset_size, horizon, coeff, degree)
                   for horizon in horizons]
-        adversary = HardMixtureAdversary(instance, link, spec["s_star"], deltas[0],
+        adversary = HardMixtureAdversary(instance, link, spec["s_star"], np.array(deltas),
                                          n_arms=dims.n_arms, subset_size=dims.subset_size)
-        adversaries = [adversary.with_delta(delta) for delta in deltas]
     elif kind in ("mnl_general", "oblivious"):
         schedule = (real_array(spec["schedule"], "schedule entry") if "schedule" in spec
                     else load_utility_schedule(spec["schedule_csv"], dims.n_arms))
@@ -222,27 +225,28 @@ def build_adversary(spec: dict, dims: ProblemDims, link: LinkFunction, horizons
             prices = real_array(spec["prices"], "price")
             if prices.shape != (dims.n_arms,):
                 raise ValueError("prices must have one entry per arm")
-        adversaries = [ObliviousAdversary(schedule)] * len(horizons)
+        adversary = ObliviousAdversary(schedule)
     elif kind == "stochastic":
         values = real_array(spec["v"], "v entry")
         if values.shape != (dims.n_arms,):
             raise ValueError(f"v must have one entry per arm ({dims.n_arms})")
-        adversaries = [StochasticAdversary(values)] * len(horizons)
+        adversary = StochasticAdversary(values)
     else:
         raise ValueError(f"unknown adversary kind {kind!r}")
-    columns = adversaries[0].arm_columns
+    columns = adversary.arm_columns
     channel = (BernoulliChannel(link, subsets, columns) if prices is None
                else ChoiceChannel(prices, subsets, columns))
     if kind == "stochastic":
         # the class values never change: a link that leaves [0, 1] on them
         # stops the run here, before any replication
-        channel.class_values(adversaries[0].column_block(1, np.empty((1, 1, 0))))
-    return adversaries, channel
+        channel.class_values(adversary.column_block(1, np.empty((1, 1, 0))))
+    return adversary, channel
 
 
-def build_learner(spec: dict, dims: ProblemDims, horizon: int, link: LinkFunction,
+def build_learner(spec: dict, dims: ProblemDims, horizon, link: LinkFunction,
                   replications: int = 1):
-    """Instantiate the learner with the state of ``replications`` rows."""
+    """Instantiate the learner with the state of ``replications`` rows;
+    ``horizon`` is an int or one horizon per row."""
     name = spec.get("name")
     params = spec.get("params", {})
     if name not in ALGORITHM_PARAMS:
@@ -334,34 +338,44 @@ def _checkpoint_rounds(horizon: int, full_trace: bool) -> np.ndarray:
     return np.unique(np.append(np.clip(pts, 1, horizon), horizon))
 
 
-def _environments(config: ExperimentConfig, horizons) -> list[tuple]:
-    """Each horizon's (link, adversary, channel), built once per config and
-    shared by every algorithm, batch and re-run; with one learner of each
-    algorithm, so a configuration problem stops the run before its first
-    replication.  A wrong JSON type raises ValueError, as in ``from_dict``."""
+def _environments(config: ExperimentConfig, horizons: list[int]) -> tuple:
+    """The (horizons, link, adversary, channel) of the increasing ``horizons``,
+    built once per config and shared by every algorithm, batch and re-run;
+    with one learner of each algorithm, so a configuration problem stops the
+    run before its first replication.  A wrong JSON type raises ValueError,
+    as in ``from_dict``."""
     try:
         link = build_link(config.link_spec)
-        adversaries, channel = build_adversary(config.adversary_spec, config.dims, link,
-                                               horizons)
+        adversary, channel = build_adversary(config.adversary_spec, config.dims, link,
+                                             horizons)
         for spec in config.algorithm_specs:
             build_learner(spec, config.dims, horizons[0], link)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed config: {exc}") from exc
-    return [(link, adversary, channel) for adversary in adversaries]
+    return horizons, link, adversary, channel
 
 
-def _run_cell(config: ExperimentConfig, environment, algo_spec: dict, horizon: int,
-              run_ids: list[int]) -> list[RunResult]:
-    """Replications ``run_ids`` of one (algorithm, horizon) cell as one batch
-    in the horizon's ``environment``; any error aborts the batch."""
-    link, adversary, channel = environment
-    learner = build_learner(algo_spec, config.dims, horizon, link, len(run_ids))
+def _run_cell(config: ExperimentConfig, environment, algo_spec: dict,
+              rows: list[tuple[int, int]]) -> list[RunResult]:
+    """The (horizon, replication) ``rows`` of one algorithm as one batch in
+    ``environment``; results in row order.  Any error aborts the batch."""
+    built_for, link, adversary, channel = environment
+    batch = sorted(rows)  # the kernel takes its rows by increasing horizon
+    horizons = np.array([horizon for horizon, _ in batch])
+    learner = build_learner(algo_spec, config.dims, horizons, link, len(batch))
     start = time.perf_counter()
-    trace = run_batch(adversary, learner, channel, horizon,
-                      [replication_seeds(config.base_seed, r) for r in run_ids],
-                      _checkpoint_rounds(horizon, config.full_trace))
-    share = (time.perf_counter() - start) / len(run_ids)
-    return _run_results(config, trace, run_ids, share)
+    traces = run_batch(adversary.for_rows(np.searchsorted(built_for, horizons)), learner,
+                       channel, horizons,
+                       [replication_seeds(config.base_seed, r) for _, r in batch],
+                       {h: _checkpoint_rounds(h, config.full_trace)
+                        for h in np.unique(horizons).tolist()})
+    share = (time.perf_counter() - start) / len(batch)
+    results = {}
+    for horizon, trace in traces.items():
+        run_ids = [r for h, r in batch if h == horizon]
+        results.update(zip([(horizon, r) for r in run_ids],
+                           _run_results(config, trace, run_ids, share)))
+    return [results[row] for row in rows]
 
 
 def _run_results(config: ExperimentConfig, trace: BatchTrace, run_ids: list[int],
@@ -379,18 +393,18 @@ def _run_results(config: ExperimentConfig, trace: BatchTrace, run_ids: list[int]
     ]
 
 
-def _safe_cell(config: ExperimentConfig, environment, algo_spec: dict, horizon: int,
-               run_ids: list[int]) -> list[RunResult]:
+def _safe_cell(config: ExperimentConfig, environment, algo_spec: dict,
+               rows: list[tuple[int, int]]) -> list[RunResult]:
     """:func:`_run_cell` with failure isolation: a batch that raises is re-run
-    one replication at a time, and a replication that raises alone becomes a
-    recorded failure instead of aborting its siblings."""
+    one (horizon, replication) row at a time, and a row that raises alone
+    becomes a recorded failure instead of aborting its siblings."""
     try:
-        return _run_cell(config, environment, algo_spec, horizon, run_ids)
-    except Exception as exc:  # recorded, never propagated past this replication
-        if len(run_ids) > 1:
-            return [res for run_id in run_ids
-                    for res in _safe_cell(config, environment, algo_spec, horizon, [run_id])]
-        return [RunResult(run_id=run_ids[0], seed=config.base_seed, checkpoints=[],
+        return _run_cell(config, environment, algo_spec, rows)
+    except Exception as exc:  # recorded, never propagated past this row
+        if len(rows) > 1:
+            return [res for row in rows
+                    for res in _safe_cell(config, environment, algo_spec, [row])]
+        return [RunResult(run_id=rows[0][1], seed=config.base_seed, checkpoints=[],
                           final_regret=float("nan"), wall_time_s=0.0,
                           error=f"{type(exc).__name__}: {exc}")]
 
@@ -401,8 +415,9 @@ def run_replication(config: ExperimentConfig, run_id: int) -> RunResult:
     if run_id < 0:
         raise ValueError("run_id must be >= 0")
     horizon = config.dims.horizon
-    [environment] = _environments(config, [horizon])
-    return _safe_cell(config, environment, config.algorithm_specs[0], horizon, [run_id])[0]
+    environment = _environments(config, [horizon])
+    return _safe_cell(config, environment, config.algorithm_specs[0],
+                      [(horizon, run_id)])[0]
 
 
 def reference_replication(config: ExperimentConfig, algo_spec: dict, horizon: int,
@@ -410,12 +425,12 @@ def reference_replication(config: ExperimentConfig, algo_spec: dict, horizon: in
     """Replication ``run_id`` on the per-round reference path: :func:`simulate`
     and ``regret_of_run`` on the kernel's streams and environment, sliced at
     the kernel's checkpoints into a one-row ``BatchTrace``."""
-    [(link, adversary, channel)] = _environments(config, [horizon])
+    _, link, adversary, channel = _environments(config, [horizon])
     learner = build_learner(algo_spec, config.dims, horizon, link)
     env_seed, learner_seed = replication_seeds(config.base_seed, run_id)
     start = time.perf_counter()
     hidden, played, rewards = simulate(
-        adversary, learner, horizon, np.random.default_rng(env_seed),
+        adversary.for_rows(0), learner, horizon, np.random.default_rng(env_seed),
         np.random.default_rng(learner_seed), link=channel.link, prices=channel.prices)
     _, inst_regret = regret_of_run(hidden, played, link=channel.link, prices=channel.prices)
     elapsed = time.perf_counter() - start
@@ -432,27 +447,31 @@ def run_experiment(config: ExperimentConfig) -> list[RunResult]:
     if len(config.algorithm_specs) != 1:
         raise ValueError("run mode takes exactly one algorithm; use sweep for several")
     horizon = config.dims.horizon
-    [environment] = _environments(config, [horizon])
-    return _safe_cell(config, environment, config.algorithm_specs[0], horizon,
-                      list(range(config.replications)))
+    environment = _environments(config, [horizon])
+    return _safe_cell(config, environment, config.algorithm_specs[0],
+                      [(horizon, r) for r in range(config.replications)])
 
 
 def run_sweep(config: ExperimentConfig) -> list[dict]:
     """Sweep-mode execution: every algorithm at every horizon in the grid.
 
-    Emits one summary row per (algorithm, horizon) with the mean final regret
-    and its standard error across the successful replications (``reps`` counts
-    those; failed replications are dropped from the aggregates).  Every
-    horizon reuses the same replication seeds.
+    Each algorithm runs every (horizon, replication) pair of the grid as one
+    batch, and a row retires at its horizon.  Emits one summary row per
+    (algorithm, horizon), in grid order, with the mean final regret and its
+    standard error across the successful replications (``reps`` counts those;
+    failed replications are dropped from the aggregates).  Every horizon
+    reuses the same replication seeds.
     """
     grid = config.t_grid if config.t_grid is not None else [config.dims.horizon]
-    environments = _environments(config, grid)
+    distinct = sorted(set(grid))
+    environment = _environments(config, distinct)
+    pairs = [(horizon, r) for horizon in distinct for r in range(config.replications)]
     rows = []
     for algo in config.algorithm_specs:
-        for horizon, environment in zip(grid, environments):
-            results = _safe_cell(config, environment, algo, horizon,
-                                 list(range(config.replications)))
-            finals = np.array([r.final_regret for r in results if r.error is None])
+        results = _safe_cell(config, environment, algo, pairs)
+        for horizon in grid:
+            finals = np.array([res.final_regret for (h, _), res in zip(pairs, results)
+                               if h == horizon and res.error is None])
             if finals.size == 0:
                 mean, stderr = float("nan"), float("nan")
             else:

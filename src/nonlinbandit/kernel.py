@@ -1,7 +1,8 @@
 """Replication-batched simulation kernel.
 
-:func:`run_batch` advances the R replications of one (algorithm, horizon)
-cell in lockstep on (R, A) arrays:
+:func:`run_batch` advances R rows of one algorithm in lockstep on (R, A)
+arrays; a row is one replication at its own horizon, so a sweep runs its
+whole horizon grid as one batch:
 
 1. Every replication owns an environment stream and a learner stream, and
    every round consumes a fixed number of uniforms from each: the
@@ -25,6 +26,11 @@ cell in lockstep on (R, A) arrays:
    that subset's class column at the checkpoint rounds, so memory is
    O(R A) plus the checkpoint columns, where the reference path keeps the
    run's (T, N) hidden values.
+5. Blocks end at every distinct horizon, and after its horizon's block a
+   row retires: it leaves the learner, its streams and the adversary's
+   per-row state, so no row steps past its horizon, and the replay drops
+   it on the same schedule.  The block length is fixed by the starting
+   row count.
 
 Every class value is added in the same order as the sums of its subsets, so
 the kernel carries the same bits as the per-round reference path
@@ -156,58 +162,109 @@ def replication_seeds(base_seed: int, run_id: int):
                  for stream in (0, 1))
 
 
-def _environment_blocks(adversary, channel, env_seeds, horizon: int, block: int):
-    """Yield (t0, columns, feedback uniforms, class values) per block, with the
-    values broadcast to R rows; the adversary range-checked the columns' values."""
+def _blocks(horizons: np.ndarray, block: int):
+    """Yield (t0, count, first) per block of at most ``block`` rounds over the
+    non-decreasing ``horizons``.  Blocks end at each distinct horizon, and
+    the rows of that horizon then retire, so a block's rows are the suffix
+    ``first:``."""
+    t0 = 1
+    for end in np.unique(horizons).tolist():
+        first = int(np.searchsorted(horizons, t0))
+        while t0 <= end:
+            count = min(block, end + 1 - t0)
+            yield t0, count, first
+            t0 += count
+
+
+def _environment_blocks(adversary, channel, env_seeds, horizons, block: int):
+    """Yield (t0, first, columns, feedback uniforms, class values) per block of
+    :func:`_blocks`, with the values broadcast to the block's rows; a retired
+    row leaves the streams and the adversary.  The adversary range-checked
+    the columns' values."""
     streams = [np.random.default_rng(seed) for seed in env_seeds]
     width = adversary.n_uniforms + 1
-    n_rows = len(streams)
-    for t0 in range(1, horizon + 1, block):
-        count = min(block, horizon + 1 - t0)
+    retired = 0
+    for t0, count, first in _blocks(horizons, block):
+        if first > retired:
+            streams = streams[first - retired:]
+            adversary = adversary.for_rows(slice(first - retired, None))
+            retired = first
         draws = np.stack([stream.random((count, width)) for stream in streams])
         columns = adversary.column_block(t0, draws[..., :-1])
         values = channel.class_values(columns)
-        yield (t0, columns, draws[..., -1],
-               np.broadcast_to(values, (n_rows,) + values.shape[1:]))
+        yield (t0, first, columns, draws[..., -1],
+               np.broadcast_to(values, (len(streams),) + values.shape[1:]))
 
 
-def run_batch(adversary, learner, channel, horizon: int, seeds,
-              checkpoints) -> BatchTrace:
-    """Simulate ``learner.replications`` replications for ``horizon`` rounds.
+def _write_checkpoints(tables, first: int, t0: int, count: int, **columns):
+    """Copy each (rows first:, block rounds) column array into the tables of
+    the horizons still running, at their checkpoints inside the block."""
+    for lo, hi, rounds, table in tables:
+        if rounds[-1] < t0:
+            continue
+        pos, idx = _local(rounds, t0, count)
+        for name, values in columns.items():
+            table[name][:, pos] = values[lo - first:hi - first, idx]
 
-    ``seeds`` holds one (environment, learner) pair of ``SeedSequence`` per
-    replication, as :func:`replication_seeds` makes them.  ``checkpoints``
-    are the increasing 1-based rounds to report and must end at ``horizon``.
-    Any error aborts the whole batch.
+
+def run_batch(adversary, learner, channel, horizons, seeds,
+              checkpoints) -> dict[int, BatchTrace]:
+    """Simulate ``learner.replications`` rows, row i for ``horizons[i]`` rounds.
+
+    ``horizons`` must not decrease.  ``seeds`` holds one (environment,
+    learner) pair of ``SeedSequence`` per row, as :func:`replication_seeds`
+    makes them, and ``adversary`` holds any per-row state in row order.
+    ``checkpoints`` maps each distinct horizon to the increasing 1-based
+    rounds its rows report, ending at the horizon.  The batch runs to the
+    largest horizon in blocks that end at every distinct one; after its
+    horizon's block a row retires, so it leaves the learner, its streams and
+    the adversary, and the regret replay drops it on the same schedule.
+    Returns one trace per distinct horizon, its rows in input order.  Any
+    error aborts the whole batch.
     """
+    horizons = np.asarray(horizons, dtype=np.int64)
     n_rows = learner.replications
-    if len(seeds) != n_rows:
-        raise ValueError(f"{len(seeds)} seeds for {n_rows} replications")
-    checkpoints = np.asarray(checkpoints, dtype=np.int64)
-    if checkpoints[-1] != horizon:
-        raise ValueError("checkpoints must end at the horizon")
+    if len(seeds) != n_rows or horizons.shape != (n_rows,):
+        raise ValueError(f"{len(seeds)} seeds and {horizons.size} horizons "
+                         f"for {n_rows} replications")
+    if np.any(np.diff(horizons) < 0):
+        raise ValueError("horizons must not decrease")
+    # per distinct horizon: its rows lo:hi and checkpoint columns
+    tables = []
+    for horizon in np.unique(horizons).tolist():
+        rounds = np.asarray(checkpoints[horizon], dtype=np.int64)
+        if rounds[-1] != horizon:
+            raise ValueError("checkpoints must end at the horizon")
+        lo, hi = np.searchsorted(horizons, [horizon, horizon + 1]).tolist()
+        shape = (hi - lo, rounds.size)
+        tables.append((lo, hi, rounds, {
+            "ranks": np.empty(shape, dtype=np.int64), "rewards": np.empty(shape),
+            "played": np.empty(shape), "played_cum": np.empty(shape),
+            "bench": np.empty(shape), "bench_cum": np.empty(shape)}))
     env_seeds, learner_seeds = zip(*seeds)
     learner_streams = [np.random.default_rng(seed) for seed in learner_seeds]
     classes = channel.classes
-    # B follows the subset count, not the class count: it fixes the order of
-    # the regret sums
+    # B follows the starting row count and the subset count, not the class
+    # count, and is fixed for the batch, so the block arrays keep their size;
+    # it groups a row's class sums, which moves the benchmark only between
+    # classes whose sums agree to rounding
     block = max(16, BLOCK_ELEMENTS // (n_rows * classes.size))
-    rows = np.arange(n_rows)
-    shape = (n_rows, checkpoints.size)
-    ranks_at = np.empty(shape, dtype=np.int64)
-    rewards_at = np.empty(shape)
-    played_at = np.empty(shape)
-    played_cum_at = np.empty(shape)
     sums = np.zeros((n_rows, channel.slots.shape[0]))
     played_cum = np.zeros(n_rows)
-    for t0, columns, feedback, values in _environment_blocks(
-            adversary, channel, env_seeds, horizon, block):
+    retired = 0
+    for t0, first, columns, feedback, values in _environment_blocks(
+            adversary, channel, env_seeds, horizons, block):
+        if first > retired:
+            learner.keep_rows(slice(first - retired, None))
+            learner_streams = learner_streams[first - retired:]
+            retired = first
         count = feedback.shape[1]
+        rows = np.arange(n_rows - first)
         picks = np.stack([stream.random(count) for stream in learner_streams], axis=1)
         table = channel.reward_table(columns, values, feedback)
-        sums += values.sum(axis=1)
-        ranks = np.empty((count, n_rows), dtype=np.int64)
-        rewards = np.empty((count, n_rows))
+        sums[first:] += values.sum(axis=1)
+        ranks = np.empty((count, rows.size), dtype=np.int64)
+        rewards = np.empty((count, rows.size))
         for i in range(count):
             played = learner.select_ranks(picks[i])
             reward = table[rows, i, classes[played]]
@@ -216,28 +273,24 @@ def run_batch(adversary, learner, channel, horizon: int, seeds,
             rewards[i] = reward
         ranks, rewards = ranks.T, rewards.T
         played_vals = values[rows[:, None], np.arange(count), classes[ranks]]
-        cum = _running_sum(played_cum, played_vals)
-        played_cum = cum[:, -1]
-        pos, idx = _local(checkpoints, t0, count)
-        ranks_at[:, pos] = ranks[:, idx]
-        rewards_at[:, pos] = rewards[:, idx]
-        played_at[:, pos] = played_vals[:, idx]
-        played_cum_at[:, pos] = cum[:, idx]
+        cum = _running_sum(played_cum[first:], played_vals)
+        played_cum[first:] = cum[:, -1]
+        _write_checkpoints(tables, first, t0, count, ranks=ranks, rewards=rewards,
+                           played=played_vals, played_cum=cum)
 
-    # best fixed subset in hindsight (ties to the smallest rank), then replay
-    # its class column
+    # best fixed subset in hindsight (ties to the smallest rank), fixed for a
+    # row once it retires, then replay its class column
     benchmark = classes[np.argmax(sums[:, classes], axis=1)]
-    bench_at = np.empty(shape)
-    bench_cum_at = np.empty(shape)
     bench_cum = np.zeros(n_rows)
-    for t0, _, _, values in _environment_blocks(adversary, channel, env_seeds,
-                                                horizon, block):
-        bench_vals = values[rows, :, benchmark]
-        cum = _running_sum(bench_cum, bench_vals)
-        bench_cum = cum[:, -1]
-        pos, idx = _local(checkpoints, t0, bench_vals.shape[1])
-        bench_at[:, pos] = bench_vals[:, idx]
-        bench_cum_at[:, pos] = cum[:, idx]
-    return BatchTrace(rounds=checkpoints, ranks=ranks_at, rewards=rewards_at,
-                      inst_regret=bench_at - played_at,
-                      cum_regret=bench_cum_at - played_cum_at)
+    for t0, first, _, _, values in _environment_blocks(adversary, channel, env_seeds,
+                                                       horizons, block):
+        bench_vals = values[np.arange(n_rows - first), :, benchmark[first:]]
+        cum = _running_sum(bench_cum[first:], bench_vals)
+        bench_cum[first:] = cum[:, -1]
+        _write_checkpoints(tables, first, t0, bench_vals.shape[1], bench=bench_vals,
+                           bench_cum=cum)
+    return {int(rounds[-1]): BatchTrace(
+                rounds=rounds, ranks=table["ranks"], rewards=table["rewards"],
+                inst_regret=table["bench"] - table["played"],
+                cum_regret=table["bench_cum"] - table["played_cum"])
+            for _, _, rounds, table in tables}

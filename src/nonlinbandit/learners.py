@@ -15,9 +15,10 @@ A distribution is a function of the state alone, so reading it between
 rounds (``sampling_distribution()``) or writing the state changes what the
 next round sees and nothing else.  A row's arithmetic never reads its
 siblings, so a replication carries the same bits alone (R = 1) or in a
-batch.  With R = 1 the object API ``select(rng)`` / ``update(action,
-reward)`` drives the same code, and a round draws exactly one uniform from
-the learner's stream.
+batch, and ``keep_rows`` can drop rows between rounds (the kernel retires a
+row at its horizon) without changing the others.  With R = 1 the object API
+``select(rng)`` / ``update(action, reward)`` drives the same code, and a
+round draws exactly one uniform from the learner's stream.
 """
 from __future__ import annotations
 
@@ -70,6 +71,17 @@ class _Batched:
 
     replications = 1
     _round: np.ndarray | None = None
+    # the per-row state: (R, ...) arrays, or scalars shared by every row
+    _row_state: tuple[str, ...] = ()
+
+    def keep_rows(self, rows):
+        """Keep only the replications ``rows`` (an index array, a mask or a
+        slice) of every per-row state array; call it between rounds."""
+        for name in self._row_state:
+            value = getattr(self, name)
+            if np.ndim(value):
+                setattr(self, name, value[rows])
+        self.replications = np.arange(self.replications)[rows].size
 
     def sampling_distribution(self) -> np.ndarray:
         """The distribution over subset ranks that the next round samples
@@ -207,6 +219,7 @@ class SubsetMab(_Batched):
     """
 
     algorithms = ("exp3", "tsallis_inf")
+    _row_state = ("losses", "_normalizers", "_solved")
 
     def __init__(self, n_arms: int, subset_size: int, algorithm: str = "exp3",
                  mixing: float = 0.0, replications: int = 1):
@@ -249,6 +262,10 @@ class SubsetMab(_Batched):
     def _observe(self, ranks: np.ndarray, rewards: np.ndarray, probs: np.ndarray):
         self.losses[self._index, ranks] += (1.0 - rewards) / probs[self._index, ranks]
         self._normalizers = self._solved
+
+    def keep_rows(self, rows):
+        super().keep_rows(rows)
+        self._index = np.arange(self.replications)
 
     def select(self, rng) -> SubsetAction:
         return self._action(self._solo_rank(rng))
@@ -341,9 +358,14 @@ class Exp2(_Batched):
     ``estimates``, the (R, A) cumulative reward estimates, and ``rounds``;
     each round of the :class:`_Batched` protocol adds the estimates of the
     round's observation, taken under the distribution it was sampled from.
+    ``horizon`` is an int, or an (R,) array of one horizon per row; a default
+    ``gamma_mix`` and ``eta`` follow it, so each row gets its own (an (R, 1)
+    column).
     """
 
-    def __init__(self, n_arms: int, subset_size: int, order: int, horizon: int,
+    _row_state = ("estimates", "eta", "gamma_mix")
+
+    def __init__(self, n_arms: int, subset_size: int, order: int, horizon,
                  eta: float | None = None, gamma_mix: float | None = None,
                  replications: int = 1):
         if order < 1:
@@ -352,7 +374,8 @@ class Exp2(_Batched):
         level = min(order, subset_size, n_arms - subset_size)
         width = math.comb(n_arms, level)
         check_enumeration(count * width, f"entries of the {count} x {width} inclusion matrix")
-        if horizon < 1:
+        horizon = np.asarray(horizon)
+        if horizon.ndim > 1 or not np.all(horizon >= 1):
             raise ValueError("horizon must be >= 1")
         self.n_arms = n_arms
         self.subset_size = subset_size
@@ -365,13 +388,16 @@ class Exp2(_Batched):
         self.inclusion = np.zeros((count, width))
         np.put_along_axis(self.inclusion, colex_ranks(members, n_arms), 1.0, axis=1)
         if gamma_mix is None:
-            gamma_mix = min(0.5, math.sqrt(dim * math.log(max(count, 2)) / horizon))
+            gamma_mix = np.minimum(0.5, np.sqrt(dim * math.log(max(count, 2)) / horizon))
         if eta is None:
             eta = gamma_mix / (2.0 * dim)
-        if not 0 < gamma_mix <= 1 or not 0 < eta < math.inf:
+        gamma_mix, eta = np.asarray(gamma_mix, dtype=float), np.asarray(eta, dtype=float)
+        if not (np.all((0 < gamma_mix) & (gamma_mix <= 1))
+                and np.all((0 < eta) & (eta < math.inf))):
             raise ValueError("need gamma_mix in (0, 1] and a finite eta > 0")
-        self.gamma_mix = float(gamma_mix)
-        self.eta = float(eta)
+        # a float shared by every row, or an (R, 1) column of one per row
+        self.gamma_mix = float(gamma_mix) if gamma_mix.ndim == 0 else gamma_mix[:, None]
+        self.eta = float(eta) if eta.ndim == 0 else eta[:, None]
         self.replications = replications
         self.estimates = np.zeros((replications, count))
         self.rounds = 0

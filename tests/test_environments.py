@@ -110,6 +110,26 @@ def test_with_delta_shares_the_verified_layout(mnl_hard_m3, mnl_link, monkeypatc
             adv.with_delta(bad)
 
 
+def test_per_row_delta_compares_each_row_with_its_own_weight(mnl_hard_m3, mnl_link):
+    # an (R,) delta gives row r the bits of a float delta[r], and for_rows
+    # keeps the weights of the rows it names
+    adv = HardMixtureAdversary(mnl_hard_m3, mnl_link, (1, 3, 4), 0.5,
+                               n_arms=6, subset_size=3)
+    deltas = np.array([0.2, 0.5, 0.9])
+    rows = adv.with_delta(deltas)
+    uniforms = np.random.default_rng(4).random((3, 60, adv.n_uniforms))
+    block = rows.column_block(1, uniforms)
+    for r, delta in enumerate(deltas):
+        solo = adv.with_delta(float(delta)).column_block(1, uniforms[r:r + 1])
+        assert np.array_equal(block[r:r + 1], solo)
+    kept = rows.for_rows(np.array([True, False, True]))
+    assert np.array_equal(kept.delta, [0.2, 0.9]) and rows.for_rows(1).delta == 0.5
+    assert adv.for_rows(np.array([0, 0])) is adv
+    for bad in ([0.5, 0.0], [1.5, 0.5], [0.5, math.nan], [[0.5]]):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            adv.with_delta(np.array(bad))
+
+
 def test_mixture_mean_matches_baseline_except_at_planted(mnl_hard_m2, mnl_link):
     delta = 0.3
     base = mnl_hard_m2.baseline(mnl_link)

@@ -351,11 +351,11 @@ def test_failed_replication_recorded_others_proceed(mnl_hard_m2, monkeypatch, tm
     clean = run_experiment(config)
     original = harness_mod._run_cell
 
-    def flaky(config, environment, algo, horizon, run_ids):
+    def flaky(config, environment, algo, rows):
         # any batch holding replication 1 raises, as a numeric failure would
-        if 1 in run_ids:
+        if any(run_id == 1 for _, run_id in rows):
             raise RuntimeError("boom")
-        return original(config, environment, algo, horizon, run_ids)
+        return original(config, environment, algo, rows)
 
     monkeypatch.setattr(harness_mod, "_run_cell", flaky)
     results = run_experiment(config)
@@ -435,7 +435,8 @@ def test_exp2_design_built_once_per_sweep(monkeypatch):
     config = ExperimentConfig.from_dict({**_EXP2_CONFIG, "t_grid": [50, 100]})
     rows = run_sweep(config)
     assert [row["T"] for row in rows] == [50, 100]
-    assert builds == [1, config.replications, config.replications]
+    # one validation build, then one batch of every (horizon, replication) row
+    assert builds == [1, len(config.t_grid) * config.replications]
 
 
 @pytest.mark.parametrize("algo,key", [("exp2", "design_eps"), ("exp2", "gama_mix"),
@@ -563,6 +564,21 @@ def test_cli_verify_flags_invalid(tmp_path, capsys):
     assert "INVALID" in out
 
 
+def test_cli_run_refuses_an_invalid_instance_on_one_line(tmp_path, capsys, mnl_hard_m2):
+    # x0 moved off the instance's moment equations fails verification when the
+    # adversary is built: one error line, exit 1
+    config = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}).to_dict()
+    config["adversary"]["instance"]["x0"] += 0.05
+    cfg = tmp_path / "invalid.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: refusing INVALID instance: moment residual")
+    assert captured.out == ""
+
+
 def test_cli_identity_check(capsys):
     code = main(["identity-check", "--trials", "120", "--seed", "1"])
     out = capsys.readouterr().out
@@ -608,10 +624,12 @@ def test_cli_sweep_exits_two_when_replications_fail(tmp_path, mnl_hard_m2, monke
 
     original = harness_mod._run_cell
 
-    def flaky(config, environment, algo, horizon, run_ids):
-        if 1 in run_ids and horizon == 120:
+    def flaky(config, environment, algo, rows):
+        # the merged batch of every (horizon, replication) row raises, and
+        # so does row (120, 1) alone
+        if (120, 1) in rows:
             raise RuntimeError("boom")
-        return original(config, environment, algo, horizon, run_ids)
+        return original(config, environment, algo, rows)
 
     monkeypatch.setattr(harness_mod, "_run_cell", flaky)
     config = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, reps=3,
@@ -909,6 +927,128 @@ def test_schedule_shorter_than_the_sweep_exits_one(tmp_path, capsys, monkeypatch
     assert captured.err.splitlines() == ["error: schedule covers 50 rounds, horizon needs 80"]
     assert captured.out == ""
     assert not out.exists() and batches == []
+
+
+# ---------------------------------------------------------------------------
+# One batch per algorithm over the whole horizon grid
+# ---------------------------------------------------------------------------
+
+# unsorted, with a repeated entry; delta "auto" is below 1 at each horizon
+MERGED_GRID = [800, 300, 800, 500]
+
+
+def _merged_sweep_configs(instance):
+    """Sweep configs over ``MERGED_GRID``: a hard mixture with delta "auto"
+    (Bernoulli and choice feedback), a stochastic and an oblivious adversary;
+    between them exp3, tsallis_inf, exp2 (default rates, which follow the
+    horizon) and constant."""
+    schedule = np.random.default_rng(3).uniform(0, 1, size=(800, 4)).tolist()
+    common = {"replications": 3, "base_seed": 5, "t_grid": MERGED_GRID}
+    exp3, tsallis = {"name": "exp3", "params": {}}, {"name": "tsallis_inf", "params": {}}
+    exp2 = {"name": "exp2", "params": {}}
+    hard = {"instance": instance.to_json_dict(), "delta": "auto"}
+    return {
+        "hard_nonpoly": {
+            **common, "dims": {"N": 5, "K": 2, "T": 800, "d": None}, "link": {"kind": "mnl"},
+            "adversary": {"kind": "hard_nonpoly", "s_star": [0, 1], **hard},
+            "algorithms": [exp3, tsallis, {"name": "constant", "params": {"subset": [2, 3]}}]},
+        "mnl_hard": {
+            **common, "dims": {"N": 4, "K": 2, "T": 800, "d": None}, "link": {"kind": "mnl"},
+            "adversary": {"kind": "mnl_hard", "s_star": [0, 2], **hard},
+            "algorithms": [exp3, tsallis]},
+        "stochastic": {
+            **common, "dims": {"N": 5, "K": 2, "T": 800, "d": 1},
+            "link": {"kind": "polynomial", "coefficients": [0.1, 0.4]},
+            "adversary": {"kind": "stochastic", "v": [0.1, 0.5, 0.9, 0.3, 0.2]},
+            "algorithms": [exp2, exp3]},
+        "oblivious": {
+            **common, "dims": {"N": 4, "K": 2, "T": 800, "d": 1},
+            "link": {"kind": "polynomial", "coefficients": [0.0, 0.5]},
+            "adversary": {"kind": "oblivious", "schedule": schedule},
+            "algorithms": [exp2, {"name": "constant", "params": {"subset": [0, 1]}}]},
+    }
+
+
+@pytest.mark.parametrize("kind", ["hard_nonpoly", "mnl_hard", "stochastic", "oblivious"])
+def test_merged_sweep_equals_its_separate_runs(mnl_hard_m2, kind):
+    # every (algorithm, T) row of the one-batch sweep carries the bits of a
+    # run at T = h: the same mean regret and standard error
+    cfg = _merged_sweep_configs(mnl_hard_m2)[kind]
+    rows = run_sweep(ExperimentConfig.from_dict(cfg))
+    assert [(row["algo"], row["T"]) for row in rows] == [
+        (algo["name"], horizon) for algo in cfg["algorithms"] for horizon in MERGED_GRID]
+    for row, (algo, horizon) in zip(rows, ((a, h) for a in cfg["algorithms"]
+                                           for h in MERGED_GRID)):
+        solo = {**cfg, "dims": {**cfg["dims"], "T": horizon}, "t_grid": None,
+                "algorithms": [algo]}
+        results = run_experiment(ExperimentConfig.from_dict(solo))
+        finals = np.array([res.final_regret for res in results])
+        assert row["reps"] == 3, (kind, row)
+        assert row["mean_regret"] == float(finals.mean()), (kind, row)
+        assert row["stderr"] == float(finals.std(ddof=1) / math.sqrt(3)), (kind, row)
+
+
+def test_no_row_steps_past_its_horizon(mnl_hard_m2, monkeypatch):
+    # each row retires at its horizon: the learner steps sum(h) * R row-rounds
+    # in max(h) rounds, where a batch that ran every row to the end would
+    # step len(grid) * max(h) * R
+    import nonlinbandit.learners as learners_mod
+
+    stepped = []
+    original = learners_mod._Batched.select_ranks
+
+    def counting(self, uniforms):
+        stepped.append(uniforms.size)
+        return original(self, uniforms)
+
+    monkeypatch.setattr(learners_mod._Batched, "select_ranks", counting)
+    grid, reps = [30, 200, 90], 3
+    config = _hard_run_config(mnl_hard_m2, {"name": "tsallis_inf", "params": {}},
+                              delta="auto", reps=reps, t_grid=grid)
+    assert [row["reps"] for row in run_sweep(config)] == [reps] * len(grid)
+    assert sum(stepped) == sum(grid) * reps
+    assert len(stepped) == max(grid)
+
+
+def test_merged_sweep_drops_only_the_row_that_fails_alone(tmp_path, mnl_hard_m2,
+                                                          monkeypatch, capsys):
+    # tsallis_inf's merged batch raises; its six rows re-run alone (each at
+    # its own horizon's delta), and only (T = 600, replication 1) fails alone,
+    # so only that (algo, T) row loses a replication; the others keep their bits
+    import nonlinbandit.harness as harness_mod
+
+    cfg = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, reps=3,
+                           delta="auto", t_grid=[300, 600],
+                           output=str(tmp_path / "sweep.csv")).to_dict()
+    cfg["algorithms"].append({"name": "tsallis_inf", "params": {}})
+    clean = run_sweep(ExperimentConfig.from_dict(cfg))
+    solo = run_experiment(ExperimentConfig.from_dict(
+        {**cfg, "dims": {**cfg["dims"], "T": 600}, "t_grid": None,
+         "algorithms": [{"name": "tsallis_inf", "params": {}}]}))
+    original = harness_mod._run_cell
+    batches = []
+
+    def flaky(config, environment, algo, rows):
+        batches.append((algo["name"], len(rows)))
+        if algo["name"] == "tsallis_inf" and (600, 1) in rows:
+            raise RuntimeError("boom")
+        return original(config, environment, algo, rows)
+
+    monkeypatch.setattr(harness_mod, "_run_cell", flaky)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    out = capsys.readouterr().out
+    assert "tsallis_inf T=600: 2 of 3 replications survived" in out
+    assert out.count("replications survived") == 1
+    assert batches == [("exp3", 6), ("tsallis_inf", 6)] + [("tsallis_inf", 1)] * 6
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    survivors = np.array([solo[0].final_regret, solo[2].final_regret])
+    expected = clean[:3] + [{**clean[3], "reps": 2, "mean_regret": float(survivors.mean()),
+                             "stderr": float(survivors.std(ddof=1) / math.sqrt(2))}]
+    assert lines == [f"{row['algo']},5,2,{row['T']},{row['reps']},"
+                     f"{float(row['mean_regret'])!r},{float(row['stderr'])!r}"
+                     for row in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Subset classes of the batched kernel: a class's values and reward table
-carry the same bits as each of its subsets computed on its own."""
+carry the same bits as each of its subsets computed on its own; and rows of
+several horizons in one batch carry the bits of their one-horizon batches."""
 import math
 
 import numpy as np
@@ -141,9 +142,48 @@ def test_batched_sweep_range_checks_only_block_link_values(mnl_hard_m2, monkeypa
         "t_grid": grid,
     })
     assert all(row["reps"] == reps for row in run_sweep(config))
-    # 1638-round blocks: 1 + 2 + 7 per algorithm and pass, 40 checks in all
-    block = max(16, kernel.BLOCK_ELEMENTS // (reps * math.comb(5, 2)))
-    blocks = sum(-(-horizon // block) for horizon in grid)
+    # each algorithm runs its len(grid) * reps rows as one batch: 546-round
+    # blocks that end at every horizon, 2 + 4 + 13 per algorithm and pass,
+    # 76 checks in all
+    block = max(16, kernel.BLOCK_ELEMENTS // (len(grid) * reps * math.comb(5, 2)))
+    blocks = sum(-(-(end - start) // block) for start, end in zip([0] + grid, grid))
+    assert blocks == 19
     assert calls[learners] == []
     assert calls[environments] == []
     assert calls[kernel] == ["link value"] * (2 * len(algos) * blocks)
+
+
+@pytest.mark.parametrize("kind", ["hard_nonpoly", "mnl_hard"])
+def test_merged_batch_rows_match_their_one_horizon_batches(mnl_hard_m2, kind):
+    # rows of three horizons in one batch (each with its own delta, their
+    # replications out of order) report every checkpoint column with the
+    # bits of a batch of that horizon alone; the rows must come by
+    # increasing horizon
+    dims = ProblemDims(n_arms=5, subset_size=2, horizon=900)
+    distinct = [250, 500, 900]
+    spec = {**_hard_spec(kind, mnl_hard_m2, (0, 2)), "delta": "auto"}
+    adversary, channel = build_adversary(spec, dims, MnlLink(), distinct)
+    assert np.unique(adversary.delta).size == 3
+    rows = [(250, 1), (250, 0), (500, 0), (900, 2), (900, 0)]
+    horizons = np.array([h for h, _ in rows])
+    seeds = [kernel.replication_seeds(4, r) for _, r in rows]
+    checkpoints = {250: np.arange(1, 251), 500: np.array([1, 7, 64, 500]),
+                   900: np.array([2, 249, 250, 251, 899, 900])}
+    merged = kernel.run_batch(adversary.for_rows(np.searchsorted(distinct, horizons)),
+                              learners.SubsetMab(5, 2, "tsallis_inf", replications=5),
+                              channel, horizons, seeds, checkpoints)
+    assert sorted(merged) == distinct
+    with pytest.raises(ValueError, match="must not decrease"):
+        kernel.run_batch(adversary.for_rows([2, 0]),
+                         learners.SubsetMab(5, 2, "exp3", replications=2), channel,
+                         [900, 250], seeds[:2], checkpoints)
+    for h, trace in merged.items():
+        members = np.flatnonzero(horizons == h)
+        alone = kernel.run_batch(adversary.for_rows([distinct.index(h)] * members.size),
+                                 learners.SubsetMab(5, 2, "tsallis_inf",
+                                                    replications=members.size),
+                                 channel, [h] * members.size,
+                                 [seeds[i] for i in members], {h: checkpoints[h]})[h]
+        assert np.array_equal(trace.rounds, checkpoints[h])
+        for name in ("ranks", "rewards", "inst_regret", "cum_regret"):
+            assert np.array_equal(getattr(trace, name), getattr(alone, name)), (h, name)

@@ -420,6 +420,42 @@ def test_batched_learners_match_solo_rows():
 
 
 
+def test_kept_rows_step_on_like_solo_rows():
+    # keep_rows between rounds drops replications (the Tsallis warm starts
+    # and EXP2's per-row rates with them); the rows kept step on with the
+    # bits they have alone
+    rng = np.random.default_rng(12)
+    horizons = np.array([40, 300, 90, 300])
+    builders = {
+        "exp3": lambda h: SubsetMab(5, 2, "exp3", replications=np.size(h)),
+        "tsallis_inf": lambda h: SubsetMab(5, 2, "tsallis_inf", replications=np.size(h)),
+        "exp2": lambda h: Exp2(5, 2, 1, horizon=h, replications=np.size(h)),
+    }
+    for name, build in builders.items():
+        batch = build(horizons)
+        solos = [build(h) for h in horizons]
+        live = np.arange(4)
+        for t in range(120):
+            if t == 60:
+                batch.keep_rows(np.array([False, True, True, False]))
+                live = live[[1, 2]]
+            if t == 100:
+                batch.keep_rows(np.array([1]))
+                live = live[[1]]
+            picks = rng.random(live.size)
+            ranks = batch.select_ranks(picks)
+            rewards = rng.integers(0, 2, size=live.size).astype(float)
+            for row, solo in enumerate(solos[i] for i in live):
+                assert solo.select_ranks(picks[row:row + 1])[0] == ranks[row], name
+                solo.update_ranks(ranks[row:row + 1], rewards[row:row + 1])
+            batch.update_ranks(ranks, rewards)
+        assert batch.replications == 1, name
+        assert np.array_equal(_state(batch)[0], _state(solos[2])[0]), name
+    exp2 = builders["exp2"](horizons)
+    assert np.array_equal(exp2.gamma_mix[:, 0], [Exp2(5, 2, 1, horizon=int(h)).gamma_mix
+                                                 for h in horizons])
+
+
 def _state(learner):
     return learner.estimates if isinstance(learner, Exp2) else learner.losses
 
