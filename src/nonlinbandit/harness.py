@@ -12,7 +12,8 @@ EXP2's default rates, which the batch holds per row.  A replication gives
 the same bits alone or in a batch, so a batch that raises is re-run one
 row at a time and only the rows that fail alone are recorded as failed;
 :func:`run_replication` re-runs one replication by its index.  Results are
-ordered by run id.
+ordered by run id.  A sweep's algorithms run in forked workers, one per
+usable CPU (:func:`_fork_map`), with the bits and order of a serial run.
 
 :func:`simulate` with ``analysis.regret_of_run`` is the per-round reference
 path (:func:`reference_replication`) that the kernel is tested against: it
@@ -26,6 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import pickle
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -452,6 +456,84 @@ def run_experiment(config: ExperimentConfig) -> list[RunResult]:
                       [(horizon, r) for r in range(config.replications)])
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or cannot ask."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_map(func, items: list, names: list[str]) -> list:
+    """``[func(item) for item in items]``, one contiguous chunk of items per
+    usable CPU: this process runs the first chunk, and a forked child each
+    other one, sending its results back pickled through a pipe, so they come
+    in item order.  A failed child raises RuntimeError naming its item
+    (``names``).  On any exception the children are killed; every child is
+    reaped before this returns.  Forked, not spawned, so nothing is pickled
+    going in (numpy's OpenBLAS restarts its threads in a child)."""
+    workers = min(len(items), _usable_cpus())
+    if workers <= 1:
+        return [func(item) for item in items]
+    bounds = [len(items) * w // workers for w in range(workers + 1)]
+    chunks = [range(start, end) for start, end in zip(bounds, bounds[1:])]
+    # a child inherits unflushed output and would print it a second time
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, pipes = [], []
+    try:
+        for chunk in chunks[1:]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    _fork_child(func, [items[i] for i in chunk], sink)
+            pids.append(pid)
+        results = [func(items[i]) for i in chunks[0]]
+        for pipe, chunk in zip(pipes, chunks[1:]):
+            try:
+                done, error = pickle.loads(pipe.read())
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"the sweep worker for "
+                                   f"{', '.join(names[i] for i in chunk)} "
+                                   f"exited without a result") from None
+            if error is not None:
+                raise RuntimeError(f"{names[chunk[len(done)]]} failed in its "
+                                   f"sweep worker: {error}")
+            results.extend(done)
+        return results
+    except BaseException:
+        import signal  # here, so that importing the package loads no new module
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # an unreaped child cannot vanish
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _fork_child(func, items: list, sink):
+    """Forked worker of :func:`_fork_map`: writes the pickled ``(results,
+    error)`` of ``func`` on ``items`` to ``sink`` (the results before the
+    first item that raised, and its message) and leaves only through
+    ``os._exit``, so it never returns into the caller's stack."""
+    status = 1
+    try:
+        done, error = [], None
+        try:
+            for item in items:
+                done.append(func(item))
+        except Exception as exc:  # the parent raises it with the item's name
+            error = f"{type(exc).__name__}: {exc}"
+        sink.write(pickle.dumps((done, error)))
+        sink.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_sweep(config: ExperimentConfig) -> list[dict]:
     """Sweep-mode execution: every algorithm at every horizon in the grid.
 
@@ -460,15 +542,17 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     (algorithm, horizon), in grid order, with the mean final regret and its
     standard error across the successful replications (``reps`` counts those;
     failed replications are dropped from the aggregates).  Every horizon
-    reuses the same replication seeds.
+    reuses the same replication seeds.  The algorithms run in forked workers.
     """
     grid = config.t_grid if config.t_grid is not None else [config.dims.horizon]
     distinct = sorted(set(grid))
     environment = _environments(config, distinct)
     pairs = [(horizon, r) for horizon in distinct for r in range(config.replications)]
+    algos = config.algorithm_specs
     rows = []
-    for algo in config.algorithm_specs:
-        results = _safe_cell(config, environment, algo, pairs)
+    for algo, results in zip(algos, _fork_map(
+            lambda algo: _safe_cell(config, environment, algo, pairs), algos,
+            [algo["name"] for algo in algos])):
         for horizon in grid:
             finals = np.array([res.final_regret for (h, _), res in zip(pairs, results)
                                if h == horizon and res.error is None])

@@ -46,12 +46,16 @@ def _sample_ranks(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     row's total is raised to 1, and with it every entry equal to the total
     when the last rank has probability zero: the slack of a total rounded
     below 1 goes to the last rank of positive probability, never to a
-    trailing rank of probability zero."""
+    trailing rank of probability zero.  The rule reads each row's own last
+    probability, so a row draws the same rank alone and in any batch."""
     cum = np.add.accumulate(probs, axis=1)
-    if probs[:, -1].all():
-        cum[:, -1] = 1.0
-    else:
-        cum[cum >= cum[:, -1:]] = 1.0
+    last = probs[:, -1]
+    if not last.all():
+        zero_last = last == 0
+        rows = cum[zero_last]
+        rows[rows >= rows[:, -1:]] = 1.0
+        cum[zero_last] = rows
+    cum[:, -1] = 1.0
     return (cum <= uniforms[:, None]).sum(axis=1)
 
 

@@ -2,7 +2,10 @@ import copy
 import hashlib
 import json
 import math
+import os
 import re
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1010,14 +1013,16 @@ def test_no_row_steps_past_its_horizon(mnl_hard_m2, monkeypatch):
     assert len(stepped) == max(grid)
 
 
-def test_merged_sweep_drops_only_the_row_that_fails_alone(tmp_path, mnl_hard_m2,
-                                                          monkeypatch, capsys):
-    # tsallis_inf's merged batch raises; its six rows re-run alone (each at
-    # its own horizon's delta), and only (T = 600, replication 1) fails alone,
-    # so only that (algo, T) row loses a replication; the others keep their bits
+def _sweep_with_a_row_that_fails_alone(tmp_path, instance, monkeypatch, capsys,
+                                       workers):
+    """The CLI sweep of exp3 and tsallis_inf (T = 300 and 600, R = 3, delta
+    "auto") on ``workers`` usable CPUs, where a tsallis_inf batch that holds
+    (T = 600, replication 1) raises; checks the exit code, the report and
+    the CSV, and returns the (algo, rows) batches run in this process."""
     import nonlinbandit.harness as harness_mod
 
-    cfg = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, reps=3,
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: workers)
+    cfg = _hard_run_config(instance, {"name": "exp3", "params": {}}, reps=3,
                            delta="auto", t_grid=[300, 600],
                            output=str(tmp_path / "sweep.csv")).to_dict()
     cfg["algorithms"].append({"name": "tsallis_inf", "params": {}})
@@ -1041,7 +1046,6 @@ def test_merged_sweep_drops_only_the_row_that_fails_alone(tmp_path, mnl_hard_m2,
     out = capsys.readouterr().out
     assert "tsallis_inf T=600: 2 of 3 replications survived" in out
     assert out.count("replications survived") == 1
-    assert batches == [("exp3", 6), ("tsallis_inf", 6)] + [("tsallis_inf", 1)] * 6
     lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     survivors = np.array([solo[0].final_regret, solo[2].final_regret])
     expected = clean[:3] + [{**clean[3], "reps": 2, "mean_regret": float(survivors.mean()),
@@ -1049,6 +1053,162 @@ def test_merged_sweep_drops_only_the_row_that_fails_alone(tmp_path, mnl_hard_m2,
     assert lines == [f"{row['algo']},5,2,{row['T']},{row['reps']},"
                      f"{float(row['mean_regret'])!r},{float(row['stderr'])!r}"
                      for row in expected]
+    return batches
+
+
+def test_merged_sweep_drops_only_the_row_that_fails_alone(tmp_path, mnl_hard_m2,
+                                                          monkeypatch, capsys):
+    # tsallis_inf's merged batch raises; its six rows re-run alone (each at
+    # its own horizon's delta), and only (T = 600, replication 1) fails alone,
+    # so only that (algo, T) row loses a replication; the others keep their bits.
+    # One worker, so every batch runs, and is recorded, in this process.
+    batches = _sweep_with_a_row_that_fails_alone(tmp_path, mnl_hard_m2, monkeypatch,
+                                                 capsys, workers=1)
+    assert batches == [("exp3", 6), ("tsallis_inf", 6)] + [("tsallis_inf", 1)] * 6
+
+
+def test_forked_sweep_drops_only_the_row_that_fails_alone(tmp_path, mnl_hard_m2,
+                                                          monkeypatch, capsys):
+    # the same failure isolation inside a forked worker: tsallis_inf's batch
+    # and its re-runs happen in the child, and the CSV is the same
+    batches = _sweep_with_a_row_that_fails_alone(tmp_path, mnl_hard_m2, monkeypatch,
+                                                 capsys, workers=2)
+    assert batches == [("exp3", 6)]
+
+
+# ---------------------------------------------------------------------------
+# Forked sweep workers
+# ---------------------------------------------------------------------------
+
+def _three_algorithm_sweep(tmp_path=None) -> ExperimentConfig:
+    """exp3, tsallis_inf and exp2 on a stochastic adversary, two horizons."""
+    return ExperimentConfig.from_dict({
+        "dims": {"N": 5, "K": 2, "T": 400, "d": 1},
+        "link": {"kind": "polynomial", "coefficients": [0.1, 0.4]},
+        "adversary": {"kind": "stochastic", "v": [0.1, 0.5, 0.9, 0.3, 0.2]},
+        "algorithms": [{"name": name, "params": {}}
+                       for name in ("exp3", "tsallis_inf", "exp2")],
+        "replications": 2, "base_seed": 11, "t_grid": [150, 400],
+        "output": None if tmp_path is None else str(tmp_path / "sweep.csv"),
+    })
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_sweep_writes_the_serial_bytes(tmp_path, monkeypatch, workers):
+    import nonlinbandit.harness as harness_mod
+
+    config = _three_algorithm_sweep()
+    written = {}
+    for count in (1, workers):
+        monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: count)
+        rows = run_sweep(config)
+        _assert_no_child_left()
+        write_sweep_csv(rows, tmp_path / f"{count}.csv")
+        written[count] = (tmp_path / f"{count}.csv").read_bytes()
+    assert [line.split(b",")[0] for line in written[1].splitlines()[1:]] == [
+        b"exp3", b"exp3", b"tsallis_inf", b"tsallis_inf", b"exp2", b"exp2"]
+    assert written[workers] == written[1]
+
+
+@pytest.mark.parametrize("failing", ["tsallis_inf", "exp2"])
+@pytest.mark.parametrize("how", ["raises", "exits"])
+def test_a_failed_worker_raises_naming_its_algorithm(monkeypatch, failing, how):
+    # two workers: exp3 runs here, tsallis_inf then exp2 in the child; the
+    # failure escapes _safe_cell, so no replication record can absorb it
+    import nonlinbandit.harness as harness_mod
+
+    parent, original = os.getpid(), harness_mod._safe_cell
+
+    def failing_cell(config, environment, algo, rows):
+        if algo["name"] == failing and os.getpid() != parent:
+            if how == "exits":
+                os._exit(3)
+            raise ValueError("boom")
+        return original(config, environment, algo, rows)
+
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_mod, "_safe_cell", failing_cell)
+    message = (f"{failing} failed in its sweep worker: ValueError: boom" if how == "raises"
+               else "the sweep worker for tsallis_inf, exp2 exited without a result")
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        run_sweep(_three_algorithm_sweep())
+    _assert_no_child_left()
+
+
+def test_an_interrupted_sweep_kills_and_reaps_its_workers(monkeypatch):
+    # the parent's own chunk raises while the child is still busy: the child
+    # is killed, not waited for, and reaped before the interrupt propagates
+    import nonlinbandit.harness as harness_mod
+
+    parent = os.getpid()
+
+    def stuck_cell(config, environment, algo, rows):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_mod, "_safe_cell", stuck_cell)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(_three_algorithm_sweep())
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_sweep_runs_inline_where_it_cannot_fork_or_count_cpus(monkeypatch, missing):
+    import nonlinbandit.harness as harness_mod
+
+    # a call of the missing function would raise AttributeError
+    monkeypatch.delattr(harness_mod.os, missing)
+    assert harness_mod._usable_cpus() == 1
+    assert [row["reps"] for row in run_sweep(_three_algorithm_sweep())] == [2] * 6
+
+
+def test_cli_sweep_prints_each_line_once(tmp_path, monkeypatch, capfd):
+    # output pending before the fork is flushed, so a worker that prints does
+    # not print it again, and a worker leaves through os._exit, so it flushes
+    # nothing it inherited.  stdout is block-buffered, as when the CLI's output
+    # goes to a file or a pipe (capfd's own stream writes through).
+    import nonlinbandit.harness as harness_mod
+
+    parent, original = os.getpid(), harness_mod._safe_cell
+
+    def printing_cell(config, environment, algo, rows):
+        if os.getpid() != parent:
+            print(f"worker {algo['name']}", flush=True)
+        return original(config, environment, algo, rows)
+
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_mod, "_safe_cell", printing_cell)
+    config = _three_algorithm_sweep(tmp_path)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config.to_dict()))
+    captured = sys.stdout
+    with open(os.dup(1), "w", encoding="utf-8") as buffered:
+        sys.stdout = buffered
+        try:
+            print("pending", end="")
+            code = main(["sweep", "--config", str(cfg_path)])
+        finally:
+            sys.stdout = captured
+    assert code == 0
+    out = capfd.readouterr().out
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert out.count("pending") == 1
+    assert out.count("worker tsallis_inf") == out.count("worker exp2") == 1
+    assert out.count(f"wrote {tmp_path / 'sweep.csv'}") == 1
+    assert len(out.splitlines()) == 3 + len(rows)
+    for row in rows:
+        algo, _, _, horizon = row.split(",")[:4]
+        assert out.count(f"{algo} T={horizon}: ") == 1
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

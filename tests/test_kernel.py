@@ -14,7 +14,7 @@ from nonlinbandit import (
     StochasticAdversary,
     run_sweep,
 )
-from nonlinbandit import environments, kernel, learners
+from nonlinbandit import environments, harness, kernel, learners
 from nonlinbandit.core import subsets_by_rank
 from nonlinbandit.harness import build_adversary
 from nonlinbandit.kernel import BernoulliChannel, ChoiceChannel
@@ -124,7 +124,9 @@ def _counting(check, seen):
 def test_batched_sweep_range_checks_only_block_link_values(mnl_hard_m2, monkeypatch):
     # the criterion-5 sweep shape: every [0, 1] check on the batched path is
     # one link-value check per block in class_values, in the play pass and in
-    # the regret replay; the learners check no reward and the kernel no column
+    # the regret replay; the learners check no reward and the kernel no column.
+    # One worker, so both algorithms run, and are counted, in this process.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     calls = {}
     for module in (environments, kernel, learners):
         calls[module] = []

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonlinbandit import (
@@ -198,6 +198,41 @@ def test_exp3_at_underflow_scale():
             assert solo.select_ranks(picks[row:row + 1])[0] == ranks[row]
             solo.update_ranks(ranks[row:row + 1], rewards[row:row + 1])
             assert np.array_equal(solo.losses[0], batch.losses[row])
+
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+@st.composite
+def _rows_and_uniforms(draw):
+    """Rows of 2..6 probabilities that sum to about 1, some with trailing
+    zeros or a last entry far below an ulp of 1, and a uniform per row that
+    is often the largest float below 1."""
+    width = draw(st.integers(2, 6))
+    entry = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 2.0**-60, 2.0**-53]))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = np.array(draw(st.lists(entry, min_size=width, max_size=width)))
+        if weights.sum() == 0:
+            weights[0] = 1.0
+        rows.append(weights / weights.sum())
+    uniforms = draw(st.lists(st.one_of(st.just(_BELOW_ONE), st.floats(0.0, _BELOW_ONE)),
+                             min_size=len(rows), max_size=len(rows)))
+    return np.array(rows), np.array(uniforms)
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=(np.array([[0.3, 0.7 - 2.0**-53, 2.0**-60], [0.5, 0.5, 0.0]]),
+               np.full(2, _BELOW_ONE)))
+@given(_rows_and_uniforms())
+def test_each_row_draws_the_same_alone_and_in_a_batch(case):
+    # the slack rule reads each row's own last probability, never its siblings'
+    probs, uniforms = case
+    ranks = learners._sample_ranks(probs, uniforms)
+    for row in range(len(probs)):
+        alone = learners._sample_ranks(probs[row:row + 1], uniforms[row:row + 1])
+        assert alone[0] == ranks[row]
+        assert probs[row, ranks[row]] > 0
 
 
 def test_update_rejects_bad_reward():
