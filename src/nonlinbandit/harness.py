@@ -470,10 +470,10 @@ def _fork_map(func, items: list, names: list[str]) -> list:
     in item order.  A failed child raises RuntimeError naming its item
     (``names``).  On any exception the children are killed; every child is
     reaped before this returns.  Forked, not spawned, so nothing is pickled
-    going in (numpy's OpenBLAS restarts its threads in a child)."""
-    workers = min(len(items), _usable_cpus())
-    if workers <= 1:
-        return [func(item) for item in items]
+    going in (numpy's OpenBLAS restarts its threads in a child).  Tested on
+    CPython 3.11 only; from 3.12, ``os.fork`` in a process that holds other
+    threads (OpenBLAS's pool is one) emits a DeprecationWarning."""
+    workers = max(1, min(len(items), _usable_cpus()))
     bounds = [len(items) * w // workers for w in range(workers + 1)]
     chunks = [range(start, end) for start, end in zip(bounds, bounds[1:])]
     # a child inherits unflushed output and would print it a second time

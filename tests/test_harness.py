@@ -876,6 +876,8 @@ def test_each_horizon_builds_its_adversary_once(mnl_hard_m2, monkeypatch):
     import nonlinbandit.environments as environments_mod
     import nonlinbandit.harness as harness_mod
 
+    # a forked worker's calls never reach these counters: one worker
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 1)
     verify = _count_calls(monkeypatch, environments_mod, "verify_hard_instance")
     kl = _count_calls(monkeypatch, harness_mod, "kl_coefficient")
     cfg = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, delta="auto",
@@ -898,6 +900,8 @@ def test_schedule_csv_sweep_parses_once_and_builds_one_channel(tmp_path, monkeyp
     sched_path = tmp_path / "schedule.csv"
     sched_path.write_text("t,v_0,v_1,v_2,v_3,v_4\n" + "".join(
         f"{t},0.1,0.4,0.2,0.3,0.25\n" for t in range(1, 51)))
+    # a forked worker's calls never reach these counters: one worker
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 1)
     parses = _count_calls(monkeypatch, harness_mod, "load_utility_schedule")
     bernoulli = _count_calls(monkeypatch, harness_mod, "BernoulliChannel")
     choice = _count_calls(monkeypatch, harness_mod, "ChoiceChannel")
