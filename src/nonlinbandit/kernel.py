@@ -20,17 +20,16 @@ whole horizon grid as one batch:
    under the round's feedback uniform, an (R, B, S) reward table.
 3. Only the learner steps round by round, on its (R, A) state: it plays a
    rank and reads its reward from the table.
-4. The per-class expected-reward sums are accumulated online and expanded
-   to the A subsets once at the end, which fixes each replication's best
-   subset in hindsight.  The environment stream is then replayed to read
-   that subset's class column at the checkpoint rounds, so memory is
-   O(R A) plus the checkpoint columns, where the reference path keeps the
-   run's (T, N) hidden values.
+4. The play pass also keeps every class's running sum of expected rewards
+   and copies the class values and sums at the checkpoint rounds into
+   per-horizon tables (:func:`run_batch` bounds their size), so the
+   environment is drawn once.  At the end each row's best subset in
+   hindsight, its class's largest sum at the horizon, picks its columns of
+   the tables.  The reference path keeps the run's (T, N) hidden values.
 5. Blocks end at every distinct horizon, and after its horizon's block a
    row retires: it leaves the learner, its streams and the adversary's
-   per-row state, so no row steps past its horizon, and the replay drops
-   it on the same schedule.  The block length is fixed by the starting
-   row count.
+   per-row state, so no row steps past its horizon.  The block length is
+   fixed by the starting row count and the class count.
 
 Every class value is added in the same order as the sums of its subsets, so
 the kernel carries the same bits as the per-round reference path
@@ -48,7 +47,8 @@ import numpy as np
 
 from .core import LinkFunction, LinkRangeError, check_unit_interval, subset_sums
 
-# Elements of one (R, B, A) block array; sets the block length B.
+# Elements of one (R, B, S) block array over the S classes; sets the block
+# length B, at most 512 rounds.
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -142,8 +142,8 @@ class BatchTrace:
 
 
 def _running_sum(carry: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Row-wise running sums of ``block`` continued from ``carry``, added one
-    round at a time."""
+    """Running sums of ``block`` (rows, rounds, ...) along its rounds,
+    continued from ``carry`` (rows, ...), added one round at a time."""
     return np.cumsum(np.concatenate([carry[:, None], block], axis=1), axis=1)[:, 1:]
 
 
@@ -178,9 +178,10 @@ def _blocks(horizons: np.ndarray, block: int):
 
 def _environment_blocks(adversary, channel, env_seeds, horizons, block: int):
     """Yield (t0, first, columns, feedback uniforms, class values) per block of
-    :func:`_blocks`, with the values broadcast to the block's rows; a retired
-    row leaves the streams and the adversary.  The adversary range-checked
-    the columns' values."""
+    :func:`_blocks`; a retired row leaves the streams and the adversary.  The
+    columns and values have one row per live row, or one for all of them when
+    the adversary draws no uniforms.  The adversary range-checked the
+    columns' values."""
     streams = [np.random.default_rng(seed) for seed in env_seeds]
     width = adversary.n_uniforms + 1
     retired = 0
@@ -191,20 +192,20 @@ def _environment_blocks(adversary, channel, env_seeds, horizons, block: int):
             retired = first
         draws = np.stack([stream.random((count, width)) for stream in streams])
         columns = adversary.column_block(t0, draws[..., :-1])
-        values = channel.class_values(columns)
-        yield (t0, first, columns, draws[..., -1],
-               np.broadcast_to(values, (len(streams),) + values.shape[1:]))
+        yield t0, first, columns, draws[..., -1], channel.class_values(columns)
 
 
 def _write_checkpoints(tables, first: int, t0: int, count: int, **columns):
     """Copy each (rows first:, block rounds) column array into the tables of
-    the horizons still running, at their checkpoints inside the block."""
+    the horizons still running, at their checkpoints inside the block; a
+    one-row array serves every row."""
     for lo, hi, rounds, table in tables:
         if rounds[-1] < t0:
             continue
         pos, idx = _local(rounds, t0, count)
         for name, values in columns.items():
-            table[name][:, pos] = values[lo - first:hi - first, idx]
+            rows = values if len(values) == 1 else values[lo - first:hi - first]
+            table[name][:, pos] = rows[:, idx]
 
 
 def run_batch(adversary, learner, channel, horizons, seeds,
@@ -218,9 +219,13 @@ def run_batch(adversary, learner, channel, horizons, seeds,
     rounds its rows report, ending at the horizon.  The batch runs to the
     largest horizon in blocks that end at every distinct one; after its
     horizon's block a row retires, so it leaves the learner, its streams and
-    the adversary, and the regret replay drops it on the same schedule.
-    Returns one trace per distinct horizon, its rows in input order.  Any
-    error aborts the whole batch.
+    the adversary.  Returns one trace per distinct horizon, its rows in input
+    order.  Any error aborts the whole batch.
+
+    The class values and running sums at the checkpoints take 2 C S floats
+    per row (C checkpoints, S classes), or per horizon when the adversary
+    draws no uniforms: 16 T A bytes for a full trace on the stochastic or
+    oblivious adversary.
     """
     horizons = np.asarray(horizons, dtype=np.int64)
     n_rows = learner.replications
@@ -229,6 +234,10 @@ def run_batch(adversary, learner, channel, horizons, seeds,
                          f"for {n_rows} replications")
     if np.any(np.diff(horizons) < 0):
         raise ValueError("horizons must not decrease")
+    classes = channel.classes
+    n_classes = channel.slots.shape[0]
+    # without draws every row sees the same class values and sums: one row
+    shared = adversary.n_uniforms == 0
     # per distinct horizon: its rows lo:hi and checkpoint columns
     tables = []
     for horizon in np.unique(horizons).tolist():
@@ -237,19 +246,18 @@ def run_batch(adversary, learner, channel, horizons, seeds,
             raise ValueError("checkpoints must end at the horizon")
         lo, hi = np.searchsorted(horizons, [horizon, horizon + 1]).tolist()
         shape = (hi - lo, rounds.size)
+        class_shape = (1 if shared else hi - lo, rounds.size, n_classes)
         tables.append((lo, hi, rounds, {
             "ranks": np.empty(shape, dtype=np.int64), "rewards": np.empty(shape),
             "played": np.empty(shape), "played_cum": np.empty(shape),
-            "bench": np.empty(shape), "bench_cum": np.empty(shape)}))
+            "values": np.empty(class_shape), "sums": np.empty(class_shape)}))
     env_seeds, learner_seeds = zip(*seeds)
     learner_streams = [np.random.default_rng(seed) for seed in learner_seeds]
-    classes = channel.classes
-    # B follows the starting row count and the subset count, not the class
-    # count, and is fixed for the batch, so the block arrays keep their size;
-    # it groups a row's class sums, which moves the benchmark only between
-    # classes whose sums agree to rounding
-    block = max(16, BLOCK_ELEMENTS // (n_rows * classes.size))
-    sums = np.zeros((n_rows, channel.slots.shape[0]))
+    # B is fixed for the batch, so the block arrays keep their size; past 512
+    # rounds the (R, B) arrays and the choice channel's temporaries only add
+    # memory.  Every sum runs round by round, so B moves no output bit
+    block = min(512, max(16, BLOCK_ELEMENTS // (n_rows * n_classes)))
+    sums = np.zeros((1 if shared else n_rows, n_classes))
     played_cum = np.zeros(n_rows)
     retired = 0
     for t0, first, columns, feedback, values in _environment_blocks(
@@ -262,7 +270,6 @@ def run_batch(adversary, learner, channel, horizons, seeds,
         rows = np.arange(n_rows - first)
         picks = np.stack([stream.random(count) for stream in learner_streams], axis=1)
         table = channel.reward_table(columns, values, feedback)
-        sums[first:] += values.sum(axis=1)
         ranks = np.empty((count, rows.size), dtype=np.int64)
         rewards = np.empty((count, rows.size))
         for i in range(count):
@@ -272,25 +279,23 @@ def run_batch(adversary, learner, channel, horizons, seeds,
             ranks[i] = played
             rewards[i] = reward
         ranks, rewards = ranks.T, rewards.T
-        played_vals = values[rows[:, None], np.arange(count), classes[ranks]]
+        played_vals = np.broadcast_to(values, (rows.size,) + values.shape[1:])[
+            rows[:, None], np.arange(count), classes[ranks]]
         cum = _running_sum(played_cum[first:], played_vals)
         played_cum[first:] = cum[:, -1]
+        live = slice(0 if shared else first, None)
+        class_cum = _running_sum(sums[live], values)
+        sums[live] = class_cum[:, -1]
         _write_checkpoints(tables, first, t0, count, ranks=ranks, rewards=rewards,
-                           played=played_vals, played_cum=cum)
-
-    # best fixed subset in hindsight (ties to the smallest rank), fixed for a
-    # row once it retires, then replay its class column
-    benchmark = classes[np.argmax(sums[:, classes], axis=1)]
-    bench_cum = np.zeros(n_rows)
-    for t0, first, _, _, values in _environment_blocks(adversary, channel, env_seeds,
-                                                       horizons, block):
-        bench_vals = values[np.arange(n_rows - first), :, benchmark[first:]]
-        cum = _running_sum(bench_cum[first:], bench_vals)
-        bench_cum[first:] = cum[:, -1]
-        _write_checkpoints(tables, first, t0, bench_vals.shape[1], bench=bench_vals,
-                           bench_cum=cum)
-    return {int(rounds[-1]): BatchTrace(
-                rounds=rounds, ranks=table["ranks"], rewards=table["rewards"],
-                inst_regret=table["bench"] - table["played"],
-                cum_regret=table["bench_cum"] - table["played_cum"])
-            for _, _, rounds, table in tables}
+                           played=played_vals, played_cum=cum, values=values,
+                           sums=class_cum)
+    traces = {}
+    for _, _, rounds, table in tables:
+        # best fixed subset in hindsight (ties to the smallest rank)
+        best = classes[np.argmax(table["sums"][:, -1, classes], axis=1)][:, None, None]
+        bench, bench_cum = (np.take_along_axis(table[name], best, axis=2)[..., 0]
+                            for name in ("values", "sums"))
+        traces[int(rounds[-1])] = BatchTrace(
+            rounds=rounds, ranks=table["ranks"], rewards=table["rewards"],
+            inst_regret=bench - table["played"], cum_regret=bench_cum - table["played_cum"])
+    return traces

@@ -183,6 +183,34 @@ def test_kernel_matches_per_round_reference(mnl_hard_m2, quadratic_hard_m2, hori
             assert got[-1][0] == horizon
 
 
+@pytest.mark.parametrize("horizon", [300, 2000])
+@pytest.mark.parametrize("kind", ["stochastic", "oblivious"])
+def test_kernel_matches_reference_where_every_subset_is_a_class(kind, horizon):
+    # the Bernoulli stochastic and oblivious adversaries (S = A = 20 classes,
+    # one shared table row per horizon) against simulate + regret_of_run:
+    # a full trace at T = 300, log-spaced checkpoints at T = 2000
+    rng = np.random.default_rng(8)
+    adversary = ({"kind": "stochastic", "v": rng.uniform(0, 1, 6).tolist()}
+                 if kind == "stochastic" else
+                 {"kind": "oblivious", "schedule": rng.uniform(0, 1, (horizon, 6)).tolist()})
+    for algo in ("exp3", "tsallis_inf"):
+        config = ExperimentConfig.from_dict({
+            "dims": {"N": 6, "K": 3, "T": horizon, "d": None}, "link": {"kind": "mnl"},
+            "adversary": adversary, "algorithms": [{"name": algo, "params": {}}],
+            "replications": 3, "base_seed": 13, "full_trace": horizon <= 300})
+        batch = run_experiment(config)
+        for rep in range(3):
+            ref = reference_replication(config, config.algorithm_specs[0], horizon, rep)
+            got = batch[rep].checkpoints
+            assert len(got) == len(ref.checkpoints)
+            assert (len(got) == horizon) == (horizon <= 300)
+            assert [row[:3] for row in got] == [row[:3] for row in ref.checkpoints], algo
+            for mine, theirs in zip(got, ref.checkpoints):
+                _assert_regret_close(mine[3], theirs[3], algo)
+                _assert_regret_close(mine[4], theirs[4], algo)
+            _assert_regret_close(batch[rep].final_regret, ref.final_regret, algo)
+
+
 def test_both_regret_paths_break_a_tie_to_the_smallest_rank():
     # arms 0 and 1 each total exactly 1.0 over the two rounds, so the
     # benchmark is rank 0 (arm 0) and the constant play of arm 1 reads

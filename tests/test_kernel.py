@@ -1,6 +1,8 @@
 """Subset classes of the batched kernel: a class's values and reward table
-carry the same bits as each of its subsets computed on its own; and rows of
-several horizons in one batch carry the bits of their one-horizon batches."""
+carry the same bits as each of its subsets computed on its own; rows of
+several horizons in one batch carry the bits of their one-horizon batches;
+and a batch draws its environment once, with traces that do not depend on
+the block length."""
 import math
 
 import numpy as np
@@ -123,15 +125,10 @@ def _counting(check, seen):
 
 def test_batched_sweep_range_checks_only_block_link_values(mnl_hard_m2, monkeypatch):
     # the criterion-5 sweep shape: every [0, 1] check on the batched path is
-    # one link-value check per block in class_values, in the play pass and in
-    # the regret replay; the learners check no reward and the kernel no column.
+    # one link-value check per block in class_values, in the one pass over
+    # the environment; the learners check no reward and the kernel no column.
     # One worker, so both algorithms run, and are counted, in this process.
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    calls = {}
-    for module in (environments, kernel, learners):
-        calls[module] = []
-        monkeypatch.setattr(module, "check_unit_interval",
-                            _counting(module.check_unit_interval, calls[module]))
     grid, reps, algos = [1000, 3162, 10000], 2, ("exp3", "tsallis_inf")
     config = ExperimentConfig.from_dict({
         "dims": {"N": 5, "K": 2, "T": grid[-1], "d": None},
@@ -143,16 +140,81 @@ def test_batched_sweep_range_checks_only_block_link_values(mnl_hard_m2, monkeypa
         "base_seed": 0,
         "t_grid": grid,
     })
+    _, channel = build_adversary(config.adversary_spec, config.dims, MnlLink(), grid)
+    n_classes = channel.slots.shape[0]
+    calls = {}
+    for module in (environments, kernel, learners):
+        calls[module] = []
+        monkeypatch.setattr(module, "check_unit_interval",
+                            _counting(module.check_unit_interval, calls[module]))
     assert all(row["reps"] == reps for row in run_sweep(config))
-    # each algorithm runs its len(grid) * reps rows as one batch: 546-round
-    # blocks that end at every horizon, 2 + 4 + 13 per algorithm and pass,
-    # 76 checks in all
-    block = max(16, kernel.BLOCK_ELEMENTS // (len(grid) * reps * math.comb(5, 2)))
+    # each algorithm runs its len(grid) * reps rows as one batch over the 4
+    # classes: 512-round blocks that end at every horizon, 2 + 5 + 14 per
+    # algorithm, 42 checks in all
+    block = min(512, max(16, kernel.BLOCK_ELEMENTS // (len(grid) * reps * n_classes)))
     blocks = sum(-(-(end - start) // block) for start, end in zip([0] + grid, grid))
-    assert blocks == 19
+    assert (n_classes, blocks) == (4, 21)
     assert calls[learners] == []
     assert calls[environments] == []
-    assert calls[kernel] == ["link value"] * (2 * len(algos) * blocks)
+    assert calls[kernel] == ["link value"] * (len(algos) * blocks)
+
+
+def _batch(spec, algo, horizons, seed=4):
+    """run_batch of ``algo`` at N = 5, K = 2, one row per entry of the
+    non-decreasing ``horizons``, checkpointed at every round; also returns
+    the channel."""
+    distinct = sorted(set(horizons))
+    dims = ProblemDims(n_arms=5, subset_size=2, horizon=distinct[-1])
+    adversary, channel = build_adversary(spec, dims, MnlLink(), distinct)
+    traces = kernel.run_batch(
+        adversary.for_rows(np.searchsorted(distinct, horizons)),
+        learners.SubsetMab(5, 2, algo, replications=len(horizons)), channel, horizons,
+        [kernel.replication_seeds(seed, r) for r in range(len(horizons))],
+        {h: np.arange(1, h + 1) for h in distinct})
+    return traces, channel
+
+
+def _specs(mnl_hard_m2, horizon):
+    schedule = np.random.default_rng(3).uniform(0, 1, size=(horizon, 5)).tolist()
+    return {
+        "hard_nonpoly": {**_hard_spec("hard_nonpoly", mnl_hard_m2, (0, 2)), "delta": "auto"},
+        "mnl_hard": {**_hard_spec("mnl_hard", mnl_hard_m2, (1, 3)), "delta": "auto"},
+        "stochastic": {"kind": "stochastic", "v": [0.2, 0.9, 0.4, 0.6, 0.1]},
+        "oblivious": {"kind": "oblivious", "schedule": schedule},
+    }
+
+
+def test_batch_draws_its_environment_once(mnl_hard_m2, monkeypatch):
+    # one class_values call per block: no second pass over the environment
+    passes, values_calls = [], []
+    blocks = kernel._blocks
+
+    def recording(horizons, block):
+        passes.append(list(blocks(horizons, block)))
+        return iter(passes[-1])
+
+    monkeypatch.setattr(kernel, "_blocks", recording)
+    monkeypatch.setattr(kernel.BernoulliChannel, "class_values",
+                        _counting(kernel.BernoulliChannel.class_values, values_calls))
+    _batch(_specs(mnl_hard_m2, 0)["hard_nonpoly"], "exp3", [300, 300, 1200, 2500])
+    assert len(passes) == 1 and len(passes[0]) > 3
+    assert len(values_calls) == len(passes[0])
+
+
+@pytest.mark.parametrize("kind", ["hard_nonpoly", "mnl_hard", "stochastic", "oblivious"])
+def test_traces_do_not_depend_on_the_block_length(mnl_hard_m2, monkeypatch, kind):
+    # 16-round and 512-round blocks give every trace array the same bits
+    horizons = [300, 700, 700, 1300]
+    spec = _specs(mnl_hard_m2, horizons[-1])[kind]
+    runs = []
+    for elements in (1, 1 << 30):
+        monkeypatch.setattr(kernel, "BLOCK_ELEMENTS", elements)
+        runs.append(_batch(spec, "tsallis_inf", horizons)[0])
+    short, long = runs
+    assert sorted(short) == sorted(long) == [300, 700, 1300]
+    for h in short:
+        for name in ("rounds", "ranks", "rewards", "inst_regret", "cum_regret"):
+            assert _same_bits(getattr(short[h], name), getattr(long[h], name)), (h, name)
 
 
 @pytest.mark.parametrize("kind", ["hard_nonpoly", "mnl_hard"])
