@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     LinkFunction,
+    PolynomialLink,
     check_enumeration,
     check_unit_interval,
     real_array,
@@ -182,27 +183,16 @@ def comb_identity_residual(coefficients, y) -> float:
 
     For a polynomial of degree at most m-1 evaluated on an m-tuple the sum
     vanishes identically; a degree-m leading term contributes
-    ``(-1)**m * m! * a_m * prod(y)``.
+    ``(-1)**m * m! * a_m * prod(y)``.  Each ``y`` lies in [0, 1].
     """
-    arr = np.asarray(y, dtype=float)
-    m = arr.size
+    m = np.asarray(y, dtype=float).size
     if m < 1:
         raise ValueError("need at least one coordinate")
-    coeffs = np.asarray(coefficients, dtype=float)
-
-    def s(x: float) -> float:
-        out = 0.0
-        for coef in coeffs[::-1]:
-            out = out * x + coef
-        return out
-
-    total = s(0.0)
+    link = PolynomialLink(coefficients)
+    total = link(0.0)
     for level in range(1, m + 1):
-        acc = 0.0
-        for combo in itertools.combinations(range(m), level):
-            acc += s(float(arr[list(combo)].sum()))
-        avg = acc / math.comb(m, level)
-        total += (-1) ** level * math.comb(m, level) * avg
+        mean = symmetrized_link(link, level, y, 0.0, m)
+        total += (-1) ** level * math.comb(m, level) * mean
     return float(total)
 
 

@@ -9,8 +9,8 @@ same replication seeds (common random numbers).  Each algorithm runs every
 in the config's one environment, and a row retires at its horizon; run mode
 is the one-horizon case.  A horizon sets only a hard mixture's delta and
 EXP2's default rates, which the batch holds per row.  A replication gives
-the same bits alone or in a batch, so a batch that raises is re-run one
-row at a time and only the rows that fail alone are recorded as failed;
+the same bits alone or in a batch, so a batch that raises is re-run by
+halves down to the rows that fail alone, which are recorded as failed;
 :func:`run_replication` re-runs one replication by its index.  Results are
 ordered by run id.  A sweep's algorithms run in forked workers, one per
 usable CPU (:func:`_fork_map`), with the bits and order of a serial run.
@@ -362,24 +362,23 @@ def _environments(config: ExperimentConfig, horizons: list[int]) -> tuple:
 def _run_cell(config: ExperimentConfig, environment, algo_spec: dict,
               rows: list[tuple[int, int]]) -> list[RunResult]:
     """The (horizon, replication) ``rows`` of one algorithm as one batch in
-    ``environment``; results in row order.  Any error aborts the batch."""
+    ``environment``; results in row order.  The rows must come by
+    non-decreasing horizon, the order ``run_batch`` takes (it raises
+    otherwise).  Any error aborts the batch."""
     built_for, link, adversary, channel = environment
-    batch = sorted(rows)  # the kernel takes its rows by increasing horizon
-    horizons = np.array([horizon for horizon, _ in batch])
-    learner = build_learner(algo_spec, config.dims, horizons, link, len(batch))
+    horizons = np.array([horizon for horizon, _ in rows])
+    learner = build_learner(algo_spec, config.dims, horizons, link, len(rows))
     start = time.perf_counter()
     traces = run_batch(adversary.for_rows(np.searchsorted(built_for, horizons)), learner,
                        channel, horizons,
-                       [replication_seeds(config.base_seed, r) for _, r in batch],
+                       [replication_seeds(config.base_seed, r) for _, r in rows],
                        {h: _checkpoint_rounds(h, config.full_trace)
                         for h in np.unique(horizons).tolist()})
-    share = (time.perf_counter() - start) / len(batch)
-    results = {}
+    share = (time.perf_counter() - start) / len(rows)
+    results = []
     for horizon, trace in traces.items():
-        run_ids = [r for h, r in batch if h == horizon]
-        results.update(zip([(horizon, r) for r in run_ids],
-                           _run_results(config, trace, run_ids, share)))
-    return [results[row] for row in rows]
+        results += _run_results(config, trace, [r for h, r in rows if h == horizon], share)
+    return results
 
 
 def _run_results(config: ExperimentConfig, trace: BatchTrace, run_ids: list[int],
@@ -400,14 +399,16 @@ def _run_results(config: ExperimentConfig, trace: BatchTrace, run_ids: list[int]
 def _safe_cell(config: ExperimentConfig, environment, algo_spec: dict,
                rows: list[tuple[int, int]]) -> list[RunResult]:
     """:func:`_run_cell` with failure isolation: a batch that raises is re-run
-    one (horizon, replication) row at a time, and a row that raises alone
-    becomes a recorded failure instead of aborting its siblings."""
+    as its two halves, each isolated the same way, so a row that raises alone
+    becomes a recorded failure instead of aborting its siblings, and one bad
+    row among R costs at most 2 ceil(log2 R) + 1 batches."""
     try:
         return _run_cell(config, environment, algo_spec, rows)
     except Exception as exc:  # recorded, never propagated past this row
         if len(rows) > 1:
-            return [res for row in rows
-                    for res in _safe_cell(config, environment, algo_spec, [row])]
+            half = len(rows) // 2
+            return (_safe_cell(config, environment, algo_spec, rows[:half])
+                    + _safe_cell(config, environment, algo_spec, rows[half:]))
         return [RunResult(run_id=rows[0][1], seed=config.base_seed, checkpoints=[],
                           final_regret=float("nan"), wall_time_s=0.0,
                           error=f"{type(exc).__name__}: {exc}")]
@@ -468,11 +469,12 @@ def _fork_map(func, items: list, names: list[str]) -> list:
     usable CPU: this process runs the first chunk, and a forked child each
     other one, sending its results back pickled through a pipe, so they come
     in item order.  A failed child raises RuntimeError naming its item
-    (``names``).  On any exception the children are killed; every child is
-    reaped before this returns.  Forked, not spawned, so nothing is pickled
-    going in (numpy's OpenBLAS restarts its threads in a child).  Tested on
-    CPython 3.11 only; from 3.12, ``os.fork`` in a process that holds other
-    threads (OpenBLAS's pool is one) emits a DeprecationWarning."""
+    (``names``), and a failed pipe or fork one naming its chunk's items.
+    On any exception the children are killed; every child is reaped before
+    this returns.  Forked, not spawned, so nothing is pickled going in
+    (numpy's OpenBLAS restarts its threads in a child).  Tested on CPython
+    3.11 only; from 3.12, ``os.fork`` in a process that holds other threads
+    (OpenBLAS's pool is one) emits a DeprecationWarning."""
     workers = max(1, min(len(items), _usable_cpus()))
     bounds = [len(items) * w // workers for w in range(workers + 1)]
     chunks = [range(start, end) for start, end in zip(bounds, bounds[1:])]
@@ -482,12 +484,16 @@ def _fork_map(func, items: list, names: list[str]) -> list:
     pids, pipes = [], []
     try:
         for chunk in chunks[1:]:
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            with open(write_fd, "wb") as sink:
-                pid = os.fork()
-                if pid == 0:
-                    _fork_child(func, [items[i] for i in chunk], sink)
+            try:
+                read_fd, write_fd = os.pipe()
+                pipes.append(open(read_fd, "rb"))
+                with open(write_fd, "wb") as sink:
+                    pid = os.fork()
+                    if pid == 0:
+                        _fork_child(func, [items[i] for i in chunk], sink)
+            except OSError as exc:
+                raise RuntimeError(f"could not start the sweep worker for "
+                                   f"{', '.join(names[i] for i in chunk)}: {exc}") from exc
             pids.append(pid)
         results = [func(items[i]) for i in chunks[0]]
         for pipe, chunk in zip(pipes, chunks[1:]):

@@ -147,14 +147,6 @@ def _running_sum(carry: np.ndarray, block: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([carry[:, None], block], axis=1), axis=1)[:, 1:]
 
 
-def _local(checkpoints: np.ndarray, t0: int, count: int):
-    """Positions of the checkpoints inside rounds t0 .. t0 + count - 1 and
-    their offsets in the block."""
-    lo, hi = np.searchsorted(checkpoints, [t0, t0 + count])
-    pos = np.arange(lo, hi)
-    return pos, checkpoints[lo:hi] - t0
-
-
 def replication_seeds(base_seed: int, run_id: int):
     """Environment and learner seeds of replication ``run_id``: the two
     children of ``SeedSequence(base_seed, spawn_key=(run_id,))``."""
@@ -176,25 +168,6 @@ def _blocks(horizons: np.ndarray, block: int):
             t0 += count
 
 
-def _environment_blocks(adversary, channel, env_seeds, horizons, block: int):
-    """Yield (t0, first, columns, feedback uniforms, class values) per block of
-    :func:`_blocks`; a retired row leaves the streams and the adversary.  The
-    columns and values have one row per live row, or one for all of them when
-    the adversary draws no uniforms.  The adversary range-checked the
-    columns' values."""
-    streams = [np.random.default_rng(seed) for seed in env_seeds]
-    width = adversary.n_uniforms + 1
-    retired = 0
-    for t0, count, first in _blocks(horizons, block):
-        if first > retired:
-            streams = streams[first - retired:]
-            adversary = adversary.for_rows(slice(first - retired, None))
-            retired = first
-        draws = np.stack([stream.random((count, width)) for stream in streams])
-        columns = adversary.column_block(t0, draws[..., :-1])
-        yield t0, first, columns, draws[..., -1], channel.class_values(columns)
-
-
 def _write_checkpoints(tables, first: int, t0: int, count: int, **columns):
     """Copy each (rows first:, block rounds) column array into the tables of
     the horizons still running, at their checkpoints inside the block; a
@@ -202,10 +175,10 @@ def _write_checkpoints(tables, first: int, t0: int, count: int, **columns):
     for lo, hi, rounds, table in tables:
         if rounds[-1] < t0:
             continue
-        pos, idx = _local(rounds, t0, count)
+        a, b = np.searchsorted(rounds, [t0, t0 + count])
         for name, values in columns.items():
             rows = values if len(values) == 1 else values[lo - first:hi - first]
-            table[name][:, pos] = rows[:, idx]
+            table[name][:, a:b] = rows[:, rounds[a:b] - t0]
 
 
 def run_batch(adversary, learner, channel, horizons, seeds,
@@ -218,9 +191,9 @@ def run_batch(adversary, learner, channel, horizons, seeds,
     ``checkpoints`` maps each distinct horizon to the increasing 1-based
     rounds its rows report, ending at the horizon.  The batch runs to the
     largest horizon in blocks that end at every distinct one; after its
-    horizon's block a row retires, so it leaves the learner, its streams and
-    the adversary.  Returns one trace per distinct horizon, its rows in input
-    order.  Any error aborts the whole batch.
+    horizon's block a row retires in one step, which cuts it from its
+    streams, the adversary and the learner.  Returns one trace per distinct
+    horizon, its rows in input order.  Any error aborts the whole batch.
 
     The class values and running sums at the checkpoints take 2 C S floats
     per row (C checkpoints, S classes), or per horizon when the adversary
@@ -252,7 +225,9 @@ def run_batch(adversary, learner, channel, horizons, seeds,
             "played": np.empty(shape), "played_cum": np.empty(shape),
             "values": np.empty(class_shape), "sums": np.empty(class_shape)}))
     env_seeds, learner_seeds = zip(*seeds)
+    env_streams = [np.random.default_rng(seed) for seed in env_seeds]
     learner_streams = [np.random.default_rng(seed) for seed in learner_seeds]
+    width = adversary.n_uniforms + 1
     # B is fixed for the batch, so the block arrays keep their size; past 512
     # rounds the (R, B) arrays and the choice channel's temporaries only add
     # memory.  Every sum runs round by round, so B moves no output bit
@@ -260,16 +235,19 @@ def run_batch(adversary, learner, channel, horizons, seeds,
     sums = np.zeros((1 if shared else n_rows, n_classes))
     played_cum = np.zeros(n_rows)
     retired = 0
-    for t0, first, columns, feedback, values in _environment_blocks(
-            adversary, channel, env_seeds, horizons, block):
+    for t0, count, first in _blocks(horizons, block):
         if first > retired:
-            learner.keep_rows(slice(first - retired, None))
-            learner_streams = learner_streams[first - retired:]
+            kept = slice(first - retired, None)
+            env_streams, learner_streams = env_streams[kept], learner_streams[kept]
+            adversary = adversary.for_rows(kept)
+            learner.keep_rows(kept)
             retired = first
-        count = feedback.shape[1]
+        draws = np.stack([stream.random((count, width)) for stream in env_streams])
+        columns = adversary.column_block(t0, draws[..., :-1])
+        values = channel.class_values(columns)
         rows = np.arange(n_rows - first)
         picks = np.stack([stream.random(count) for stream in learner_streams], axis=1)
-        table = channel.reward_table(columns, values, feedback)
+        table = channel.reward_table(columns, values, draws[..., -1])
         ranks = np.empty((count, rows.size), dtype=np.int64)
         rewards = np.empty((count, rows.size))
         for i in range(count):

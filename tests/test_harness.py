@@ -1090,13 +1090,42 @@ def _sweep_with_a_row_that_fails_alone(tmp_path, instance, monkeypatch, capsys,
 
 def test_merged_sweep_drops_only_the_row_that_fails_alone(tmp_path, mnl_hard_m2,
                                                           monkeypatch, capsys):
-    # tsallis_inf's merged batch raises; its six rows re-run alone (each at
-    # its own horizon's delta), and only (T = 600, replication 1) fails alone,
-    # so only that (algo, T) row loses a replication; the others keep their bits.
-    # One worker, so every batch runs, and is recorded, in this process.
+    # tsallis_inf's merged batch raises; it re-runs in halves, recursing into
+    # the half that raises (each row at its own horizon's delta), and only
+    # (T = 600, replication 1) fails alone, so only that (algo, T) row loses a
+    # replication; the others keep their bits.  The T = 300 half, then
+    # (600, 0), then (600, 1) and (600, 2) alone.  One worker, so every batch
+    # runs, and is recorded, in this process.
     batches = _sweep_with_a_row_that_fails_alone(tmp_path, mnl_hard_m2, monkeypatch,
                                                  capsys, workers=1)
-    assert batches == [("exp3", 6), ("tsallis_inf", 6)] + [("tsallis_inf", 1)] * 6
+    assert batches == [("exp3", 6), ("tsallis_inf", 6), ("tsallis_inf", 3),
+                       ("tsallis_inf", 3), ("tsallis_inf", 1), ("tsallis_inf", 2),
+                       ("tsallis_inf", 1), ("tsallis_inf", 1)]
+
+
+def test_one_failing_row_costs_logarithmically_many_batches(mnl_hard_m2, monkeypatch):
+    # halving finds one bad row among 100 in at most 2 ceil(log2 100) + 1 = 15
+    # batches, where re-running every row alone took 101
+    import nonlinbandit.harness as harness_mod
+
+    config = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, horizon=20,
+                              reps=100)
+    clean = run_experiment(config)
+    original, calls = harness_mod._run_cell, []
+
+    def flaky(config, environment, algo, rows):
+        calls.append(len(rows))
+        if (20, 37) in rows:
+            raise RuntimeError("boom")
+        return original(config, environment, algo, rows)
+
+    monkeypatch.setattr(harness_mod, "_run_cell", flaky)
+    results = run_experiment(config)
+    assert len(calls) <= 2 * math.ceil(math.log2(100)) + 1
+    assert [r.run_id for r in results] == list(range(100))
+    assert [r.run_id for r in results if r.error is not None] == [37]
+    assert all(res.checkpoints == ref.checkpoints
+               for res, ref in zip(results, clean) if res.run_id != 37)
 
 
 def test_forked_sweep_drops_only_the_row_that_fails_alone(tmp_path, mnl_hard_m2,
@@ -1169,6 +1198,34 @@ def test_a_failed_worker_raises_naming_its_algorithm(monkeypatch, failing, how):
                else "the sweep worker for tsallis_inf, exp2 exited without a result")
     with pytest.raises(RuntimeError, match=re.escape(message)):
         run_sweep(_three_algorithm_sweep())
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("call, code", [("fork", "EAGAIN"), ("pipe", "EMFILE")])
+def test_cli_sweep_exits_two_when_a_worker_cannot_start(tmp_path, monkeypatch, capsys,
+                                                        call, code):
+    # a fork or a pipe refused for lack of resources is a runtime failure,
+    # not a bad config (exit 1); no process is started
+    import errno
+
+    import nonlinbandit.harness as harness_mod
+
+    def refused(*args):
+        number = getattr(errno, code)
+        raise OSError(number, os.strerror(number))
+
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_mod.os, call, refused)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(_three_algorithm_sweep().to_dict()))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: could not start the sweep worker for "
+                          "tsallis_inf, exp2: ")
+    assert len(err.splitlines()) == 1
+    with pytest.raises(RuntimeError) as caught:
+        run_sweep(_three_algorithm_sweep())
+    assert isinstance(caught.value.__cause__, OSError)
     _assert_no_child_left()
 
 
