@@ -368,6 +368,9 @@ def load_utility_schedule(path, n_arms: int | None = None) -> np.ndarray:
             raise ValueError(f"schedule has {width} arms, expected {n_arms}")
         rows = []
         for t, row in enumerate(reader, start=1):
+            if len(row) != width + 1:
+                raise ValueError(f"schedule round {t} has {len(row)} fields, "
+                                 f"expected {width + 1}")
             if int(row[0]) != t:
                 raise ValueError("schedule rounds must be consecutive from 1")
             rows.append([float(x) for x in row[1:]])

@@ -74,9 +74,10 @@ BASE_PIVOTS = 5_000
 def _simplex_phase(A, b, c, basis, max_iters):
     """Primal simplex from a feasible basis; Dantzig pricing with a switch to
     Bland's rule after a run of degenerate (non-improving) pivots."""
-    r, _ = A.shape
+    r, n = A.shape
     stall = 0
     last_obj = -np.inf
+    reduced = np.empty(n)
     for iteration in range(1, max_iters + 1):
         B = A[:, basis]
         try:
@@ -88,7 +89,8 @@ def _simplex_phase(A, b, c, basis, max_iters):
         stall = stall + 1 if obj <= last_obj + 1e-13 else 0
         last_obj = max(last_obj, obj)
 
-        reduced = c - y @ A
+        np.matmul(y, A, out=reduced)
+        np.subtract(c, reduced, out=reduced)
         reduced[basis] = 0.0
         bland = stall >= _STALL_LIMIT
         if bland:
@@ -322,12 +324,16 @@ class HardInstance:
             return cls.from_json_dict(json.load(fh))
 
 
-def _symmetrized_columns(link, grid, m, x0, b):
+def _symmetrized_columns(link, grid, m, x0, b, rows=None, scratch=None):
     """Symmetrized moment value of every sorted ``m``-tuple of ``grid`` points
     (the rows of ``_sorted_tuples(grid.size, m)``) at every depth 1..m.
 
-    Returns an (m, n_tuples) array; row ``level-1`` holds the depth-``level``
-    subset-averaged link values.  A depth-``level`` sub-tuple sum depends only
+    Writes the depth-``level`` subset-averaged link values into
+    ``rows[level - 1]``, gathering through the n_tuples-vector ``scratch``,
+    and returns ``rows``; without them, into a fresh (m, n_tuples) array.
+    The search passes rows of its workspace (:func:`_workspace`), and every
+    row is zero-filled before it accumulates, so no value of the previous
+    candidate survives.  A depth-``level`` sub-tuple sum depends only
     on which grid points the sub-tuple holds, so each depth below m takes one
     link call on the C(G + level - 1, level) sums over the sorted
     ``level``-tuples of the G grid points, stored by colexicographic rank, and
@@ -338,16 +344,20 @@ def _symmetrized_columns(link, grid, m, x0, b):
     """
     tuples = _sorted_tuples(grid.size, m)
     n = tuples.shape[0]
-    cols = np.zeros((m, n))
+    if rows is None:
+        rows, scratch = np.empty((m, n)), np.empty(n)
     for level in range(1, m):
         by_rank = subsets_by_rank(grid.size + level - 1, level)
         table = link(subset_sums(grid, by_rank - np.arange(level)) + (b - level) * x0)
-        acc = np.zeros(n)
+        acc = rows[level - 1]
+        acc.fill(0.0)
         for sub_ranks in _sub_tuple_ranks(grid.size, m, level):
-            acc += np.take(table, sub_ranks)
-        cols[level - 1] = acc / math.comb(m, level)
-    cols[m - 1] += link(_take_sum([grid] * m, tuples, range(m)) + (b - m) * x0)
-    return cols
+            # the ranks are in range; mode "raise" would buffer the output
+            acc += np.take(table, sub_ranks, out=scratch, mode="clip")
+        np.divide(acc, math.comb(m, level), out=acc)
+    rows[m - 1].fill(0.0)
+    rows[m - 1] += link(_take_sum([grid] * m, tuples, range(m)) + (b - m) * x0)
+    return rows
 
 
 def _take_sum(tables, tuples, combo):
@@ -417,10 +427,26 @@ def _grid_values(grid_step: float, x0: float) -> np.ndarray:
     return np.unique(np.append(grid, x0))
 
 
-def _x0_problem(link, m, b, grid, x0):
+def _workspace(m, n_values):
+    """The arrays that one search reuses across its x0 candidates on a grid of
+    ``n_values`` points, for the n = C(n_values + m - 1, m) sorted tuples:
+    an (m + 1, n) block and an n-vector of scratch.  Rows 0..m-2 of the
+    block take the depth 1..m-1 moment rows, row m - 1 the ones row (filled
+    here, once) and row m the depth-m objective, so the LP of
+    :func:`_x0_problem` is a view of it.  Reusing them keeps the allocator
+    from returning these arrays to the system and faulting them in again
+    for the next candidate."""
+    block = np.empty((m + 1, math.comb(n_values + m - 1, m)))
+    block[m - 1] = 1.0
+    return block, np.empty(block.shape[1])
+
+
+def _x0_problem(link, m, b, grid, x0, workspace=None):
     """The LP of one base level ``x0`` on its ``grid`` (:func:`_grid_values`):
     maximize the depth-m moment over weights on the sorted grid tuples, with
     the depths 1..m-1 pinned to ``g(b * x0)`` and the weights summing to 1.
+    The LP's arrays are views of ``workspace`` (:func:`_workspace`, fresh by
+    default), which the next candidate on the same grid size overwrites.
 
     The right-hand side is the diagonal tuple's own column, (g(b * x0), ...,
     g(b * x0), 1) up to rounding, so the diagonal point mass is exactly
@@ -428,18 +454,20 @@ def _x0_problem(link, m, b, grid, x0):
     C(G - i + m - 1, m) sorted tuples over ``range(i, G)`` come at or after
     (i, ..., i), where i is the grid index of x0.
 
-    Returns (sorted index tuples, symmetrized columns, target g(b * x0),
-    diagonal column index, problem).
+    Returns (sorted index tuples, the m depth rows of
+    :func:`_symmetrized_columns`, target g(b * x0), diagonal column index,
+    problem).
     """
     tuples = _sorted_tuples(grid.size, m)
-    cols = _symmetrized_columns(link, grid, m, x0, b)
+    block, scratch = _workspace(m, grid.size) if workspace is None else workspace
+    rows = [*block[:m - 1], block[m]]
+    _symmetrized_columns(link, grid, m, x0, b, rows, scratch)
     target = float(link(b * x0))
-    n = tuples.shape[0]
     i = int(np.searchsorted(grid, x0))
-    diag = n - math.comb(grid.size - i + m - 1, m)
-    matrix = np.vstack([cols[:m - 1], np.ones(n)])
-    problem = LpProblem(objective=cols[m - 1], eq_matrix=matrix, eq_rhs=matrix[:, diag])
-    return tuples, cols, target, diag, problem
+    diag = tuples.shape[0] - math.comb(grid.size - i + m - 1, m)
+    matrix = block[:m]
+    problem = LpProblem(objective=block[m], eq_matrix=matrix, eq_rhs=matrix[:, diag])
+    return tuples, rows, target, diag, problem
 
 
 _CRASH_POOL = 256
@@ -456,7 +484,7 @@ def _crash_pool(n: int, diag: int) -> np.ndarray:
     return pool[pool != diag]
 
 
-def _has_no_gap(problem: LpProblem, diag: int) -> bool:
+def _has_no_gap(problem: LpProblem, diag: int, scratch=None) -> bool:
     """Whether weak duality rules out a gap above ``_NO_GAP_TOL / 2``.
 
     For any y the objective row splits as c = y A + r, so on the feasible
@@ -464,12 +492,15 @@ def _has_no_gap(problem: LpProblem, diag: int) -> bool:
     feasible, has c . x = y . rhs + r_diag.  No feasible x then beats it by
     more than 2 max |r|.  y is the least-squares fit of c on the columns of
     :func:`_crash_pool`; a polynomial link of degree below m puts c in the
-    row span of the moment rows, which makes r vanish up to rounding.
+    row span of the moment rows, which makes r vanish up to rounding.  r is
+    formed in the n-vector ``scratch`` when one is given.
     """
     A, c = problem.eq_matrix, problem.objective
     pool = _crash_pool(c.size, diag)
     y = np.linalg.lstsq(A[:, pool].T, c[pool], rcond=None)[0]
-    return 2 * float(np.max(np.abs(c - y @ A))) <= _NO_GAP_TOL
+    residual = np.matmul(y, A, out=scratch)
+    np.subtract(c, residual, out=residual)
+    return 2 * float(np.max(np.abs(residual, out=residual))) <= _NO_GAP_TOL
 
 
 def _greedy_independent(matrix: np.ndarray, first: int, candidates: np.ndarray,
@@ -519,21 +550,23 @@ def _crash_start(problem: LpProblem, diag: int) -> tuple[LpProblem, list[int]]:
     return LpProblem(problem.objective, matrix[kept], problem.eq_rhs[kept]), basis
 
 
-def _solve_for_x0(link, m, b, grid, x0):
-    tuples, cols, target, diag, problem = _x0_problem(link, m, b, grid, x0)
-    if _has_no_gap(problem, diag):
+def _solve_for_x0(link, m, b, grid, x0, workspace):
+    """The instance of one base level ``x0``, built in ``workspace``
+    (:func:`_workspace`); it holds no view of the workspace."""
+    tuples, rows, target, diag, problem = _x0_problem(link, m, b, grid, x0, workspace)
+    if _has_no_gap(problem, diag, workspace[1]):
         return HardInstance(x0=x0, m=m, b=b, support=grid[tuples[[diag]]],
                             weights=[1.0], gamma=0.0,
-                            residuals=cols[:m - 1, diag] - target)
+                            residuals=problem.eq_matrix[:m - 1, diag] - target)
     weights, _ = solve_lp(*_crash_start(problem, diag))
     keep = weights > 1e-14
     support = grid[tuples[keep]]
     kept = weights[keep]
     kept = kept / kept.sum()
     residuals = np.array([
-        float(cols[level - 1][keep] @ kept - target) for level in range(1, m)
+        float(rows[level - 1][keep] @ kept - target) for level in range(1, m)
     ])
-    gamma = float(cols[m - 1][keep] @ kept - target)
+    gamma = float(rows[m - 1][keep] @ kept - target)
     return HardInstance(x0=x0, m=m, b=b, support=support, weights=kept,
                         gamma=gamma, residuals=residuals)
 
@@ -549,7 +582,10 @@ def find_hard_instance(link: LinkFunction, m: int, b: int, grid_step: float = 0.
     LP whose dual residual rules out a gap (:func:`_has_no_gap`), as every LP
     of a polynomial link of degree below m does, yields the diagonal point
     mass with ``gamma`` = 0; every other LP is solved from a crash basis
-    that holds it.
+    that holds it.  The candidates share one workspace (:func:`_workspace`)
+    per grid size, at most two of them: x0 on the grid, and x0 inserted
+    into it.  Each is allocated at its first candidate, after the cap
+    checks, and dropped when the search returns.
 
     Raises ``ValueError`` for an empty candidate list, and
     :class:`CapExceededError`, before any tuple is enumerated, when a
@@ -572,8 +608,11 @@ def find_hard_instance(link: LinkFunction, m: int, b: int, grid_step: float = 0.
                           f"sorted {m}-tuples of {grid.size} grid points")
         grids.append(grid)
     best = None
+    workspaces = {}
     for x0, grid in zip(x0_candidates, grids):
-        inst = _solve_for_x0(link, m, b, grid, x0)
+        if grid.size not in workspaces:
+            workspaces[grid.size] = _workspace(m, grid.size)
+        inst = _solve_for_x0(link, m, b, grid, x0, workspaces[grid.size])
         if best is None or inst.gamma > best.gamma:
             best = inst
     return best

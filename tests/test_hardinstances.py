@@ -499,8 +499,10 @@ def test_x0_problem_evaluates_each_distinct_sum_once():
                               for level in range(1, m + 1)) + 1
 
 
-def _reference_search_columns(link, grid, m, x0, b):
-    return _reference_columns(link, grid[_reference_tuples(grid.size, m)], x0, b)
+def _reference_search_columns(link, grid, m, x0, b, rows, scratch):
+    slow = _reference_columns(link, grid[_reference_tuples(grid.size, m)], x0, b)
+    for row, col in zip(rows, slow):
+        row[:] = col
 
 
 @pytest.mark.parametrize("link, m, q", [
@@ -520,6 +522,40 @@ def test_search_matches_slow_reference_build(monkeypatch, link, m, q):
         patched.setattr(hardinstances, "_symmetrized_columns", _reference_search_columns)
         slow = find_hard_instance(link, m=m, b=m, grid_step=1 / q).to_json_dict()
     assert fast == slow
+
+
+def _instance_bits(inst):
+    return (np.float64(inst.x0).tobytes(), inst.support.shape, inst.support.tobytes(),
+            inst.weights.tobytes(), np.float64(inst.gamma).tobytes(),
+            inst.residuals.tobytes())
+
+
+# The x0 lists alternate between x0 on the 1/q grid (q + 1 points) and x0
+# inserted into it (q + 2 points), so a search switches between its two
+# workspaces at every candidate.  MNL and the tabulated link are solved by the
+# simplex; the degree-2 polynomial is settled by the dual residual.
+@pytest.mark.parametrize("link, m, q, x0_candidates", [
+    (MnlLink(), 3, 50, [0.3, 0.333, 0.5, 0.517, 0.12, 0.35]),
+    (_TABULATED, 4, 25, [0.2, 0.21, 0.6, 0.5, 0.32, 0.3]),
+    (_LOW_DEGREE[3], 3, 50, [0.3, 0.333, 0.5, 0.517, 0.12, 0.35]),
+], ids=["mnl-m3", "tabulated-m4", "poly-deg2-m3"])
+def test_search_workspaces_carry_no_state_across_candidates(link, m, q, x0_candidates):
+    grids = [hardinstances._grid_values(1 / q, x0) for x0 in x0_candidates]
+    assert [grid.size for grid in grids] == [q + 1, q + 2] * 3
+    workspaces = {size: hardinstances._workspace(m, size) for size in (q + 1, q + 2)}
+    shared = [hardinstances._solve_for_x0(link, m, m, grid, x0, workspaces[grid.size])
+              for x0, grid in zip(x0_candidates, grids)]
+    # checked after every candidate has run, so an instance that views a
+    # workspace shows the later candidates' values
+    for x0, grid, inst in zip(x0_candidates, grids, shared):
+        fresh = hardinstances._solve_for_x0(link, m, m, grid, x0,
+                                            hardinstances._workspace(m, grid.size))
+        assert _instance_bits(inst) == _instance_bits(fresh), f"x0={x0}"
+    best = find_hard_instance(link, m=m, b=m, grid_step=1 / q, x0_candidates=x0_candidates)
+    assert _instance_bits(best) == _instance_bits(max(shared, key=lambda inst: inst.gamma))
+    kept = _instance_bits(best)
+    find_hard_instance(link, m=m, b=m, grid_step=1 / q, x0_candidates=x0_candidates[::-1])
+    assert _instance_bits(best) == kept
 
 
 def _no_enumeration(*args):

@@ -833,6 +833,25 @@ def test_schedule_csv_of_the_wrong_width_exits_one(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["oblivious", "mnl_general"])
+@pytest.mark.parametrize("bad_row, fields", [("", 0), ("3,0.1,0.2,0.3", 4)],
+                         ids=["blank", "short"])
+def test_schedule_csv_with_a_blank_or_short_row_exits_one(tmp_path, capsys, kind,
+                                                          bad_row, fields):
+    rows = [f"{t},0.1,0.2,0.3,0.4,0.5" for t in range(1, 51)]
+    rows[2] = bad_row
+    sched_path = tmp_path / "ragged.csv"
+    sched_path.write_text("t,v_0,v_1,v_2,v_3,v_4\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "run.csv"
+    cfg = tmp_path / "ragged.json"
+    cfg.write_text(json.dumps(_schedule_config(kind, {"schedule_csv": str(sched_path)},
+                                               out)))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: schedule round 3 has {fields} fields, expected 6"]
+    assert not out.exists()
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
