@@ -29,16 +29,24 @@ def bernoulli_kl(p: float, q: float) -> float:
     return max(0.0, _kl_term(p, q) + _kl_term(1 - p, 1 - q))
 
 
-def categorical_kl(p, q) -> float:
-    """KL divergence between two categorical distributions given as vectors."""
+def _check_distributions(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Two categorical distributions of one shape as float arrays; raises on
+    NaN, a negative entry or a total off 1 by more than 1e-9."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError("distributions must have matching shapes")
-    if np.any(p < 0) or np.any(q < 0):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1) > 1e-9 or abs(q.sum() - 1) > 1e-9:
+    # written so that NaN fails every test
+    if not (np.all(p >= 0) and np.all(q >= 0)):
+        raise ValueError("probabilities must be nonnegative numbers")
+    if not (abs(p.sum() - 1) <= 1e-9 and abs(q.sum() - 1) <= 1e-9):
         raise ValueError("probabilities must sum to 1")
+    return p, q
+
+
+def categorical_kl(p, q) -> float:
+    """KL divergence between two categorical distributions given as vectors."""
+    p, q = _check_distributions(p, q)
     return max(0.0, float(sum(_kl_term(float(a), float(b)) for a, b in zip(p, q))))
 
 
@@ -48,10 +56,7 @@ def tv_distance(p, q) -> float:
         if not (0 <= p <= 1 and 0 <= q <= 1):
             raise ValueError("Bernoulli parameters must lie in [0, 1]")
         return abs(float(p) - float(q))
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("distributions must have matching shapes")
+    p, q = _check_distributions(p, q)
     return 0.5 * float(np.abs(p - q).sum())
 
 

@@ -584,10 +584,6 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
 # CSV output
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def write_run_csv(results: list[RunResult], path):
     """Per-round checkpoint rows; a failed replication leaves one sentinel row
     with t=0, rank -1, and NaN values."""
@@ -599,7 +595,7 @@ def write_run_csv(results: list[RunResult], path):
                 continue
             for t, rank, reward, inst, cum in res.checkpoints:
                 fh.write(f"{res.run_id},{res.seed},{t},{rank},"
-                         f"{_fmt(reward)},{_fmt(inst)},{_fmt(cum)}\n")
+                         f"{float(reward)!r},{float(inst)!r},{float(cum)!r}\n")
 
 
 def write_sweep_csv(rows: list[dict], path):
@@ -607,4 +603,4 @@ def write_sweep_csv(rows: list[dict], path):
         fh.write(SWEEP_CSV_HEADER + "\n")
         for row in rows:
             fh.write(f"{row['algo']},{row['N']},{row['K']},{row['T']},{row['reps']},"
-                     f"{_fmt(row['mean_regret'])},{_fmt(row['stderr'])}\n")
+                     f"{float(row['mean_regret'])!r},{float(row['stderr'])!r}\n")

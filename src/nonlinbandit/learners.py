@@ -50,13 +50,15 @@ def _sample_ranks(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     probability, so a row draws the same rank alone and in any batch."""
     cum = np.add.accumulate(probs, axis=1)
     last = probs[:, -1]
-    if not last.all():
+    if np.count_nonzero(last) < last.size:
         zero_last = last == 0
         rows = cum[zero_last]
         rows[rows >= rows[:, -1:]] = 1.0
         cum[zero_last] = rows
     cum[:, -1] = 1.0
-    return (cum <= uniforms[:, None]).sum(axis=1)
+    # cum is non-decreasing and ends at 1.0 > u, so the count of entries at
+    # or below u is the index of the first entry above it
+    return (cum > uniforms[:, None]).argmax(axis=1)
 
 
 class _Batched:
@@ -257,10 +259,14 @@ class SubsetMab(_Batched):
                                            start=self._normalizers)
             return p
         eta = math.sqrt(math.log(a) / (a * t)) if a > 1 else 0.0
-        p = np.exp(-eta * (self.losses - self.losses.min(axis=1, keepdims=True)))
-        p /= p.sum(axis=1, keepdims=True)
+        losses = self.losses
+        p = losses - np.minimum.reduce(losses, axis=1, keepdims=True)
+        p *= -eta
+        np.exp(p, out=p)
+        p /= np.add.reduce(p, axis=1, keepdims=True)
         if self.mixing > 0:
-            p = (1.0 - self.mixing) * p + self.mixing / a
+            p *= 1.0 - self.mixing
+            p += self.mixing / a
         return p
 
     def _observe(self, ranks: np.ndarray, rewards: np.ndarray, probs: np.ndarray):
@@ -355,10 +361,12 @@ class Exp2(_Batched):
 
     W'PW is positive definite with smallest eigenvalue at least
     min(p) lambda_min(W'W) (``gamma_mix`` > 0 keeps every p_a positive), so
-    one r x r solve per round and replication, r = C(N, d'), replaces the
-    N^d x N^d pseudo-inverse; a batch stacks the R systems into one
-    (R, r, r) solve.  Only the reference path the tests compare against,
-    ``second_moment_pinv``, builds the N^d table.  The state is
+    one r x r solve, r = C(N, d'), replaces the N^d x N^d pseudo-inverse.
+    The estimate is linear in r, so a zero reward adds exactly zero: a round
+    stacks the systems of the rows whose reward is nonzero into one solve,
+    and solves nothing when every reward is zero.  Only the reference path
+    the tests compare against, ``second_moment_pinv``, builds the N^d
+    table.  The state is
     ``estimates``, the (R, A) cumulative reward estimates, and ``rounds``;
     each round of the :class:`_Batched` protocol adds the estimates of the
     round's observation, taken under the distribution it was sampled from.
@@ -367,7 +375,7 @@ class Exp2(_Batched):
     column).
     """
 
-    _row_state = ("estimates", "eta", "gamma_mix")
+    _row_state = ("estimates", "eta", "gamma_mix", "_weight_share", "_uniform_share")
 
     def __init__(self, n_arms: int, subset_size: int, order: int, horizon,
                  eta: float | None = None, gamma_mix: float | None = None,
@@ -402,6 +410,9 @@ class Exp2(_Batched):
         # a float shared by every row, or an (R, 1) column of one per row
         self.gamma_mix = float(gamma_mix) if gamma_mix.ndim == 0 else gamma_mix[:, None]
         self.eta = float(eta) if eta.ndim == 0 else eta[:, None]
+        # p = _weight_share q + _uniform_share, the two terms of the mixture
+        self._weight_share = 1.0 - self.gamma_mix
+        self._uniform_share = self.gamma_mix * (1.0 / count)
         self.replications = replications
         self.estimates = np.zeros((replications, count))
         self.rounds = 0
@@ -413,12 +424,24 @@ class Exp2(_Batched):
                          for r in range(self.n_actions)])
 
     def _rows(self) -> np.ndarray:
-        q = np.exp(self.eta * (self.estimates - self.estimates.max(axis=1, keepdims=True)))
-        q /= q.sum(axis=1, keepdims=True)
-        return (1.0 - self.gamma_mix) * q + self.gamma_mix * (1.0 / self.n_actions)
+        estimates = self.estimates
+        q = estimates - np.maximum.reduce(estimates, axis=1, keepdims=True)
+        q *= self.eta
+        np.exp(q, out=q)
+        q /= np.add.reduce(q, axis=1, keepdims=True)
+        q *= self._weight_share
+        q += self._uniform_share
+        return q
 
     def _observe(self, ranks: np.ndarray, rewards: np.ndarray, probs: np.ndarray):
-        self.estimates += self._estimate_rows(ranks, rewards, probs)
+        # the estimate is linear in the reward: a zero reward adds exactly
+        # zero, so only the rows that saw a reward solve
+        seen = np.count_nonzero(rewards)
+        if seen == rewards.size:
+            self.estimates += self._estimate_rows(ranks, rewards, probs)
+        elif seen:
+            rows = rewards.nonzero()[0]
+            self.estimates[rows] += self._estimate_rows(ranks[rows], rewards[rows], probs[rows])
 
     def second_moment_pinv(self, probs) -> np.ndarray:
         """Pseudo-inverse of the feature second-moment matrix of ``probs``."""
@@ -429,7 +452,7 @@ class Exp2(_Batched):
         """(R, A) estimates W (W'P_iW)^-1 W' e_(S_i) r_i, one stacked solve."""
         inclusion = self.inclusion
         gram = (inclusion.T * probs[:, None, :]) @ inclusion
-        coef = np.linalg.solve(gram, inclusion[ranks][:, :, None])
+        coef = np.linalg.solve(gram, inclusion[ranks, :, None])
         return (inclusion @ coef)[:, :, 0] * rewards[:, None]
 
     def estimate_rewards(self, rank: int, reward: float, probs) -> np.ndarray:

@@ -48,6 +48,29 @@ def test_kl_infinities():
     assert categorical_kl([0.5, 0.5], [1.0, 0.0]) == math.inf
 
 
+@pytest.mark.parametrize("p,q", [
+    ([math.nan, 1.0], [0.5, 0.5]),
+    ([0.5, 0.5], [math.nan, 1.0]),
+    ([math.nan, math.nan], [0.5, 0.5]),
+    ([-0.5, 1.5], [0.5, 0.5]),
+    ([0.5, 0.5], [1.5, -0.5]),
+    ([0.5, 0.6], [0.5, 0.5]),
+    ([0.5, 0.5], [0.2, 0.2]),
+    ([0.5, 0.5], [0.5, 0.25, 0.25]),
+])
+@pytest.mark.parametrize("divergence", [categorical_kl, tv_distance])
+def test_vector_divergences_reject_non_distributions(divergence, p, q):
+    # NaN fails the sign and the sum checks instead of slipping past both
+    with pytest.raises(ValueError):
+        divergence(p, q)
+
+
+def test_vector_divergences_accept_totals_within_tolerance():
+    p, q = [0.5, 0.5 + 5e-10], [1.0 - 5e-10, 0.0]
+    assert tv_distance(p, q) == pytest.approx(0.5)
+    assert categorical_kl(q, p) == pytest.approx(math.log(2), rel=1e-8)
+
+
 def test_mnl_mixture_laws_indistinguishable(mnl_hard_m2):
     # two different non-planted actions produce the same observable law
     law0 = mnl_mixture_choice_law(mnl_hard_m2, 0.4, overlap=0, subset_size=2)

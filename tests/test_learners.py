@@ -235,6 +235,30 @@ def test_each_row_draws_the_same_alone_and_in_a_batch(case):
         assert probs[row, ranks[row]] > 0
 
 
+def _searchsorted_ranks(probs, uniforms):
+    # the documented definition, one row at a time: the slack rule, then the
+    # number of cumulative probabilities at or below the uniform
+    ranks = []
+    for row, u in zip(probs, uniforms):
+        cum = np.add.accumulate(row)
+        if row[-1] == 0:
+            cum[cum >= cum[-1]] = 1.0
+        cum[-1] = 1.0
+        ranks.append(np.searchsorted(cum, u, side="right"))
+    return np.array(ranks)
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=(np.array([[0.3, 0.7 - 2.0**-53, 2.0**-60], [0.5, 0.5, 0.0]]),
+               np.full(2, _BELOW_ONE)))
+@example(case=(np.array([[0.25, 0.25, 0.5, 0.0]]), np.array([0.5])))
+@given(_rows_and_uniforms())
+def test_sample_ranks_match_searchsorted_definition(case):
+    probs, uniforms = case
+    assert np.array_equal(learners._sample_ranks(probs, uniforms),
+                          _searchsorted_ranks(probs, uniforms))
+
+
 def test_update_rejects_bad_reward():
     learner = SubsetMab(3, 1, "exp3")
     with pytest.raises(ValueError):
@@ -543,6 +567,69 @@ def test_exp2_zero_rewards_stay_uniform(rng):
     assert np.allclose(learner.estimates, 0.0)
     q_part = learner.sampling_distribution() - learner.gamma_mix / learner.n_actions
     assert np.allclose(q_part, (1 - learner.gamma_mix) / 3, atol=1e-12)
+
+
+class _Exp2AllRows(Exp2):
+    """EXP2 that solves every row of a round, whatever its reward."""
+
+    def _observe(self, ranks, rewards, probs):
+        self.estimates += self._estimate_rows(ranks, rewards, probs)
+
+
+def test_exp2_skipping_zero_rewards_keeps_every_bit():
+    # a zero reward adds an estimate of exactly zero, so solving only the
+    # rows that saw a reward leaves the same estimates and draws as solving
+    # all of them: 0/1 rewards and prices with 0 among them, one rate per
+    # row, rows retired between rounds
+    rng = np.random.default_rng(23)
+    horizons = np.array([60, 400, 150, 400, 90])
+    eta = np.array([0.02, 0.05, 0.01, 0.08, 0.03])
+    prices = np.array([0.0, 0.35, 0.8, 1.0])
+    skip = Exp2(6, 3, 2, horizon=horizons, eta=eta, replications=5)
+    full = _Exp2AllRows(6, 3, 2, horizon=horizons, eta=eta, replications=5)
+    mixed = silent = 0
+    for t in range(160):
+        if t == 70:
+            for learner in (skip, full):
+                learner.keep_rows(np.array([True, True, False, True, False]))
+        if t == 120:
+            for learner in (skip, full):
+                learner.keep_rows(np.array([2, 0]))
+        picks = rng.random(skip.replications)
+        ranks = skip.select_ranks(picks)
+        assert np.array_equal(full.select_ranks(picks), ranks)
+        source = prices if t % 2 else np.array([0.0, 1.0])
+        rewards = rng.choice(source, size=ranks.size)
+        if t % 7 == 0:
+            rewards[:] = 0.0
+        seen = np.count_nonzero(rewards)
+        mixed += 0 < seen < rewards.size
+        silent += seen == 0
+        skip.update_ranks(ranks, rewards)
+        full.update_ranks(ranks, rewards)
+        assert np.array_equal(skip.estimates, full.estimates)
+    assert mixed > 20 and silent > 10
+    assert np.array_equal(skip.sampling_distribution(), full.sampling_distribution())
+
+
+def test_exp2_round_without_reward_makes_no_solve(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    learner = Exp2(5, 2, 2, horizon=200, replications=4)
+    ranks = learner.select_ranks(np.array([0.1, 0.4, 0.6, 0.9]))
+    learner.update_ranks(ranks, np.zeros(4))
+    assert calls == []
+    assert np.array_equal(learner.estimates, np.zeros((4, 10)))
+    ranks = learner.select_ranks(np.array([0.1, 0.4, 0.6, 0.9]))
+    learner.update_ranks(ranks, np.array([0.0, 1.0, 0.0, 0.5]))
+    assert calls == [2]  # one stacked solve over the two rows that saw a reward
+    assert np.array_equal(learner.estimates[[0, 2]], np.zeros((2, 10)))
 
 
 def test_exp2_estimator_unbiased_small(rng):
