@@ -134,8 +134,6 @@ class HardMixtureAdversary(Adversary):
             raise ValueError("planted arm outside range")
         if instance.b != subset_size:
             raise ValueError("instance shift budget must equal the action size")
-        if instance.m > subset_size:
-            raise ValueError("planted subset cannot exceed the action size")
         report = verify_hard_instance(instance, link)
         if not report.valid:
             raise ValueError(f"refusing INVALID instance: {'; '.join(report.messages)}")

@@ -324,28 +324,23 @@ class HardInstance:
             return cls.from_json_dict(json.load(fh))
 
 
-def _symmetrized_columns(link, grid, m, x0, b, rows=None, scratch=None):
+def _symmetrized_columns(link, grid, m, x0, b, rows, scratch):
     """Symmetrized moment value of every sorted ``m``-tuple of ``grid`` points
     (the rows of ``_sorted_tuples(grid.size, m)``) at every depth 1..m.
 
     Writes the depth-``level`` subset-averaged link values into
-    ``rows[level - 1]``, gathering through the n_tuples-vector ``scratch``,
-    and returns ``rows``; without them, into a fresh (m, n_tuples) array.
-    The search passes rows of its workspace (:func:`_workspace`), and every
-    row is zero-filled before it accumulates, so no value of the previous
-    candidate survives.  A depth-``level`` sub-tuple sum depends only
-    on which grid points the sub-tuple holds, so each depth below m takes one
-    link call on the C(G + level - 1, level) sums over the sorted
-    ``level``-tuples of the G grid points, stored by colexicographic rank, and
-    accumulates its column, in subset enumeration order, from gathers at the
-    cached ranks of the sub-tuples (:func:`_sub_tuple_ranks`).  Depth m takes
-    one link call on the per-tuple sums.  Every sum is added left to right,
-    so each entry carries the same bits as a per-combination build.
+    ``rows[level - 1]``, gathering through the n_tuples-vector ``scratch``;
+    every row is zero-filled before it accumulates.  A depth-``level``
+    sub-tuple sum depends only on which grid points the sub-tuple holds, so
+    each depth below m takes one link call on the C(G + level - 1, level)
+    sums over the sorted ``level``-tuples of the G grid points, stored by
+    colexicographic rank, and accumulates its column, in subset enumeration
+    order, from gathers at the cached ranks of the sub-tuples
+    (:func:`_sub_tuple_ranks`).  Depth m takes one link call on the
+    per-tuple sums.  Every sum is added left to right, so each entry carries
+    the same bits as a per-combination build.
     """
     tuples = _sorted_tuples(grid.size, m)
-    n = tuples.shape[0]
-    if rows is None:
-        rows, scratch = np.empty((m, n)), np.empty(n)
     for level in range(1, m):
         by_rank = subsets_by_rank(grid.size + level - 1, level)
         table = link(subset_sums(grid, by_rank - np.arange(level)) + (b - level) * x0)
@@ -357,7 +352,6 @@ def _symmetrized_columns(link, grid, m, x0, b, rows=None, scratch=None):
         np.divide(acc, math.comb(m, level), out=acc)
     rows[m - 1].fill(0.0)
     rows[m - 1] += link(_take_sum([grid] * m, tuples, range(m)) + (b - m) * x0)
-    return rows
 
 
 def _take_sum(tables, tuples, combo):
@@ -428,25 +422,27 @@ def _grid_values(grid_step: float, x0: float) -> np.ndarray:
 
 
 def _workspace(m, n_values):
-    """The arrays that one search reuses across its x0 candidates on a grid of
-    ``n_values`` points, for the n = C(n_values + m - 1, m) sorted tuples:
-    an (m + 1, n) block and an n-vector of scratch.  Rows 0..m-2 of the
-    block take the depth 1..m-1 moment rows, row m - 1 the ones row (filled
-    here, once) and row m the depth-m objective, so the LP of
-    :func:`_x0_problem` is a view of it.  Reusing them keeps the allocator
-    from returning these arrays to the system and faulting them in again
-    for the next candidate."""
+    """The only buffers of a search on a grid of ``n_values`` points, reused
+    across its x0 candidates: an (m + 1, n) block and an n-vector of
+    scratch, for the n = C(n_values + m - 1, m) sorted tuples.  Rows 0..m-2
+    of the block hold the depth 1..m-1 moment rows, row m - 1 the ones row
+    (filled here, once) and row m the depth-m row; :func:`_x0_problem`
+    takes rows 0..m-1 as its LP's equality matrix and row m as its
+    objective.  :func:`_symmetrized_columns` gathers through the scratch,
+    and :func:`_has_no_gap` forms its residual in it.  Each candidate
+    rewrites every row it reads, and reusing the arrays keeps the allocator
+    from returning them to the system and faulting them in again."""
     block = np.empty((m + 1, math.comb(n_values + m - 1, m)))
     block[m - 1] = 1.0
     return block, np.empty(block.shape[1])
 
 
-def _x0_problem(link, m, b, grid, x0, workspace=None):
+def _x0_problem(link, m, b, grid, x0, workspace):
     """The LP of one base level ``x0`` on its ``grid`` (:func:`_grid_values`):
     maximize the depth-m moment over weights on the sorted grid tuples, with
     the depths 1..m-1 pinned to ``g(b * x0)`` and the weights summing to 1.
-    The LP's arrays are views of ``workspace`` (:func:`_workspace`, fresh by
-    default), which the next candidate on the same grid size overwrites.
+    The LP is a view of ``workspace`` (:func:`_workspace`), which the next
+    candidate on the same grid size overwrites.
 
     The right-hand side is the diagonal tuple's own column, (g(b * x0), ...,
     g(b * x0), 1) up to rounding, so the diagonal point mass is exactly
@@ -454,20 +450,18 @@ def _x0_problem(link, m, b, grid, x0, workspace=None):
     C(G - i + m - 1, m) sorted tuples over ``range(i, G)`` come at or after
     (i, ..., i), where i is the grid index of x0.
 
-    Returns (sorted index tuples, the m depth rows of
-    :func:`_symmetrized_columns`, target g(b * x0), diagonal column index,
+    Returns (sorted index tuples, target g(b * x0), diagonal column index,
     problem).
     """
     tuples = _sorted_tuples(grid.size, m)
-    block, scratch = _workspace(m, grid.size) if workspace is None else workspace
-    rows = [*block[:m - 1], block[m]]
-    _symmetrized_columns(link, grid, m, x0, b, rows, scratch)
+    block, scratch = workspace
+    _symmetrized_columns(link, grid, m, x0, b, [*block[:m - 1], block[m]], scratch)
     target = float(link(b * x0))
     i = int(np.searchsorted(grid, x0))
     diag = tuples.shape[0] - math.comb(grid.size - i + m - 1, m)
     matrix = block[:m]
     problem = LpProblem(objective=block[m], eq_matrix=matrix, eq_rhs=matrix[:, diag])
-    return tuples, rows, target, diag, problem
+    return tuples, target, diag, problem
 
 
 _CRASH_POOL = 256
@@ -484,7 +478,7 @@ def _crash_pool(n: int, diag: int) -> np.ndarray:
     return pool[pool != diag]
 
 
-def _has_no_gap(problem: LpProblem, diag: int, scratch=None) -> bool:
+def _has_no_gap(problem: LpProblem, diag: int, scratch) -> bool:
     """Whether weak duality rules out a gap above ``_NO_GAP_TOL / 2``.
 
     For any y the objective row splits as c = y A + r, so on the feasible
@@ -493,7 +487,7 @@ def _has_no_gap(problem: LpProblem, diag: int, scratch=None) -> bool:
     more than 2 max |r|.  y is the least-squares fit of c on the columns of
     :func:`_crash_pool`; a polynomial link of degree below m puts c in the
     row span of the moment rows, which makes r vanish up to rounding.  r is
-    formed in the n-vector ``scratch`` when one is given.
+    formed in the n-vector ``scratch``.
     """
     A, c = problem.eq_matrix, problem.objective
     pool = _crash_pool(c.size, diag)
@@ -553,7 +547,7 @@ def _crash_start(problem: LpProblem, diag: int) -> tuple[LpProblem, list[int]]:
 def _solve_for_x0(link, m, b, grid, x0, workspace):
     """The instance of one base level ``x0``, built in ``workspace``
     (:func:`_workspace`); it holds no view of the workspace."""
-    tuples, rows, target, diag, problem = _x0_problem(link, m, b, grid, x0, workspace)
+    tuples, target, diag, problem = _x0_problem(link, m, b, grid, x0, workspace)
     if _has_no_gap(problem, diag, workspace[1]):
         return HardInstance(x0=x0, m=m, b=b, support=grid[tuples[[diag]]],
                             weights=[1.0], gamma=0.0,
@@ -563,10 +557,9 @@ def _solve_for_x0(link, m, b, grid, x0, workspace):
     support = grid[tuples[keep]]
     kept = weights[keep]
     kept = kept / kept.sum()
-    residuals = np.array([
-        float(rows[level - 1][keep] @ kept - target) for level in range(1, m)
-    ])
-    gamma = float(rows[m - 1][keep] @ kept - target)
+    residuals = np.array([float(row[keep] @ kept - target)
+                          for row in problem.eq_matrix[:m - 1]])
+    gamma = float(problem.objective[keep] @ kept - target)
     return HardInstance(x0=x0, m=m, b=b, support=support, weights=kept,
                         gamma=gamma, residuals=residuals)
 

@@ -31,7 +31,7 @@ import os
 import pickle
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -549,7 +549,10 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     standard error across the successful replications (``reps`` counts those;
     failed replications are dropped from the aggregates).  Every horizon
     reuses the same replication seeds.  The algorithms run in forked workers.
+    A sweep reads only final regrets, so it records log-spaced checkpoints
+    whatever ``full_trace`` says.
     """
+    config = replace(config, full_trace=False)
     grid = config.t_grid if config.t_grid is not None else [config.dims.horizon]
     distinct = sorted(set(grid))
     environment = _environments(config, distinct)

@@ -133,7 +133,8 @@ def test_solve_lp_matches_highs_on_search_lps(link_kind, m, q):
             "poly": _LOW_DEGREE[m]}[link_kind]
     for x0 in DEFAULT_X0_CANDIDATES:
         grid = hardinstances._grid_values(1 / q, x0)
-        *_, diag, problem = hardinstances._x0_problem(link, m, m, grid, x0)
+        *_, diag, problem = hardinstances._x0_problem(link, m, m, grid, x0,
+                                                      hardinstances._workspace(m, grid.size))
         dual = optimize.linprog(
             problem.eq_rhs, A_ub=-problem.eq_matrix.T, b_ub=-problem.objective,
             bounds=(None, None), method="highs",
@@ -141,7 +142,7 @@ def test_solve_lp_matches_highs_on_search_lps(link_kind, m, q):
                      "dual_feasibility_tolerance": 1e-10},
         )
         assert dual.status == 0, dual.message
-        no_gap = hardinstances._has_no_gap(problem, diag)
+        no_gap = hardinstances._has_no_gap(problem, diag, np.empty(problem.objective.size))
         assert no_gap == (link_kind != "mnl"), f"x0={x0}"
         if no_gap:
             objective = problem.objective[diag]
@@ -172,6 +173,24 @@ def test_solve_lp_good_start_solves_hand_lp():
     assert np.allclose(weights, [0.0, 0.75, 0.25, 0.0]) and objective == pytest.approx(0.25)
 
 
+def test_solve_lp_raises_on_unbounded_hand_lp():
+    # max x1 subject to x0 - x1 = 0: x1 enters and no row bounds its step
+    problem = LpProblem(objective=[0.0, 1.0], eq_matrix=[[1.0, -1.0]], eq_rhs=[0.0])
+    with pytest.raises(SimplexError, match="unbounded objective at iteration 1"):
+        solve_lp(problem, start=[0])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_blands_rule_finds_the_default_instance(monkeypatch, m):
+    # With no stall allowance every pivot uses Bland's rule (Bland 1977).  At
+    # m = 4 on the 1/25 grid it reaches the same gap through other weights,
+    # so the bits are compared at m <= 3 only.
+    default = find_hard_instance(MnlLink(), m=m, b=m, grid_step=1 / 50)
+    monkeypatch.setattr(hardinstances, "_STALL_LIMIT", 0)
+    bland = find_hard_instance(MnlLink(), m=m, b=m, grid_step=1 / 50)
+    assert _instance_bits(bland) == _instance_bits(default)
+
+
 @pytest.mark.parametrize("x0", [0.2, 0.5, 0.85])
 def test_solve_lp_singular_crash_start_falls_back_on_linear_link(x0):
     # A linear link's depth-1 and depth-2 rows are both affine in the tuple
@@ -180,7 +199,8 @@ def test_solve_lp_singular_crash_start_falls_back_on_linear_link(x0):
     # row, and the dropped row holds at the optimum; the search itself
     # settles this LP by the dual residual.
     grid = hardinstances._grid_values(1 / 50, x0)
-    *_, diag, problem = hardinstances._x0_problem(PolynomialLink([0.0, 0.3]), 3, 3, grid, x0)
+    *_, diag, problem = hardinstances._x0_problem(PolynomialLink([0.0, 0.3]), 3, 3, grid, x0,
+                                                  hardinstances._workspace(3, grid.size))
     reduced, basis = hardinstances._crash_start(problem, diag)
     assert reduced.eq_matrix.shape[0] == len(basis) == 2 and basis[0] == diag
     assert np.array_equal(reduced.eq_matrix[-1], np.ones(problem.objective.size))
@@ -190,14 +210,15 @@ def test_solve_lp_singular_crash_start_falls_back_on_linear_link(x0):
     weights, objective = solve_lp(reduced, start=basis)
     assert np.allclose(problem.eq_matrix @ weights, problem.eq_rhs, atol=1e-12)
     assert objective == pytest.approx(problem.objective[diag], abs=1e-12)
-    assert hardinstances._has_no_gap(problem, diag)
+    assert hardinstances._has_no_gap(problem, diag, np.empty(problem.objective.size))
 
 
 @pytest.mark.parametrize("m, q", [(2, 50), (3, 50), (4, 25)])
 def test_crash_basis_holds_the_diagonal_and_is_nonsingular(m, q):
     for x0 in DEFAULT_X0_CANDIDATES:
         grid = hardinstances._grid_values(1 / q, x0)
-        tuples, _, _, diag, problem = hardinstances._x0_problem(MnlLink(), m, m, grid, x0)
+        tuples, _, diag, problem = hardinstances._x0_problem(
+            MnlLink(), m, m, grid, x0, hardinstances._workspace(m, grid.size))
         reduced, start = hardinstances._crash_start(problem, diag)
         diagonal = np.flatnonzero(np.all(grid[tuples] == x0, axis=1))
         assert diagonal.tolist() == [diag] and start[0] == diag, f"x0={x0}"
@@ -456,7 +477,9 @@ def test_symmetrized_columns_match_per_combination_build(m, kind, q, x0, n_value
     link = {"mnl": MnlLink(), "poly": _LOW_DEGREE[m], "tabulated": _TABULATED}[kind]
     grid = hardinstances._grid_values(1 / q, x0)
     assert grid.size == n_values
-    fast = hardinstances._symmetrized_columns(link, grid, m, x0, m)
+    n = math.comb(n_values + m - 1, m)
+    fast = np.empty((m, n))
+    hardinstances._symmetrized_columns(link, grid, m, x0, m, fast, np.empty(n))
     slow = _reference_columns(link, grid[_reference_tuples(grid.size, m)], x0, m)
     assert np.array_equal(fast, slow)
 
@@ -488,8 +511,9 @@ class _CountingLink(LinkFunction):
 def test_x0_problem_evaluates_each_distinct_sum_once():
     m, q, x0 = 4, 25, 0.35
     link = _CountingLink(MnlLink())
-    hardinstances._x0_problem(link, m, m, hardinstances._grid_values(1 / q, x0), x0)
     n_values = q + 2  # x0 is off the grid
+    hardinstances._x0_problem(link, m, m, hardinstances._grid_values(1 / q, x0), x0,
+                              hardinstances._workspace(m, n_values))
     n = math.comb(n_values + m - 1, m)
     assert link.values <= sum(n_values ** level for level in range(1, m)) + n
     # One value per sorted sub-tuple of grid points (31 464), plus the target

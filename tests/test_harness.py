@@ -673,6 +673,32 @@ def test_cli_sweep_exits_two_when_replications_fail(tmp_path, mnl_hard_m2, monke
     assert "T=60: " in out and "T=60: 3 of" not in out
 
 
+def test_cli_run_exits_two_and_writes_a_sentinel_row_when_a_replication_fails(
+        tmp_path, mnl_hard_m2, monkeypatch, capsys):
+    import nonlinbandit.harness as harness_mod
+
+    original = harness_mod._run_cell
+
+    def flaky(config, environment, algo, rows):
+        # any batch holding replication 1 raises, as a numeric failure would
+        if any(run_id == 1 for _, run_id in rows):
+            raise RuntimeError("boom")
+        return original(config, environment, algo, rows)
+
+    monkeypatch.setattr(harness_mod, "_run_cell", flaky)
+    out_csv = tmp_path / "run.csv"
+    config = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, reps=3,
+                              output=str(out_csv))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config.to_dict()))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    out = capsys.readouterr().out
+    assert "run 1: seed=7 FAILED (RuntimeError: boom)" in out
+    assert out.count("FAILED") == 1 and "run 0: seed=7 final_regret=" in out
+    lines = out_csv.read_text().splitlines()
+    assert [line for line in lines[1:] if line.startswith("1,")] == ["1,7,0,-1,nan,nan,nan"]
+
+
 def test_cli_unknown_flag_exits_one(capsys):
     assert main(["find-hard", "--nonsense"]) == 1
     err = capsys.readouterr().err
@@ -938,6 +964,48 @@ def test_each_horizon_builds_its_adversary_once(mnl_hard_m2, monkeypatch):
     run = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, delta="auto")
     assert all(r.error is None for r in run_experiment(run))
     assert (len(verify), len(kl)) == (1, 1)
+
+
+@pytest.mark.parametrize("algo", ["exp3", "tsallis_inf"])
+def test_one_subset_is_played_with_zero_regret(mnl_hard_m2, algo):
+    # K = N leaves a single subset, so every round plays the best one
+    config = _hard_run_config(mnl_hard_m2, {"name": algo, "params": {}}, n_arms=2,
+                              subset_size=2)
+    results = run_experiment(config)
+    assert [res.final_regret for res in results] == [0.0, 0.0]
+    ref = reference_replication(config, config.algorithm_specs[0], config.dims.horizon, 1)
+    assert results[1].checkpoints == ref.checkpoints
+    assert results[1].final_regret == ref.final_regret
+
+
+def test_sweep_records_log_spaced_checkpoints_under_full_trace(tmp_path, mnl_hard_m2,
+                                                                monkeypatch):
+    # a sweep reads only final regrets, so "full_trace" must not make the
+    # kernel record every round of every row
+    import nonlinbandit.harness as harness_mod
+
+    # a forked worker's calls never reach the recorder: one worker
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 1)
+    original, received = harness_mod.run_batch, []
+
+    def recorded(*args):
+        received.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(harness_mod, "run_batch", recorded)
+    paths = []
+    for full_trace in (True, False):
+        cfg = _hard_run_config(mnl_hard_m2, {"name": "exp3", "params": {}}, reps=2,
+                               t_grid=[300, 1000]).to_dict()
+        config = ExperimentConfig.from_dict({**cfg, "full_trace": full_trace})
+        paths.append(tmp_path / f"sweep-{full_trace}.csv")
+        write_sweep_csv(run_sweep(config), paths[-1])
+        assert config.full_trace is full_trace
+    assert len(received) == 2
+    for checkpoints in received:
+        assert sorted(checkpoints) == [300, 1000]
+        assert all(rounds.size <= 129 for rounds in checkpoints.values())
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["oblivious", "mnl_general"])

@@ -118,6 +118,13 @@ def test_tsallis_rows_batch_matches_solo_and_reference(batch):
             assert abs(got.sum() - 1.0) <= 1e-12
 
 
+def test_tsallis_single_arm_takes_all_weight():
+    # one arm (K = N): 4 / (eta (L - x))**2 = 1 at the normalizer x = L - 2 / eta
+    assert tsallis_distribution([3.5], 0.5).tolist() == [1.0]
+    p, x = tsallis_rows([[3.5], [-1.0]], 0.5)
+    assert p.tolist() == [[1.0], [1.0]] and x.tolist() == [-0.5, -5.0]
+
+
 def test_tsallis_rows_raises_without_convergence(monkeypatch):
     monkeypatch.setattr(learners, "TSALLIS_MAX_ITERS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
